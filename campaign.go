@@ -23,10 +23,13 @@ import (
 // per-point retry, a per-stage circuit breaker, and a journaled
 // checkpoint/resume protocol (DESIGN.md §10).
 //
-// The durability contract: every completed point is appended to the
-// journal (CRC-checksummed, fsynced) before the runner moves on, so a
-// crash at any instant loses at most the points that were still in
-// flight. Re-running with Resume skips journaled points and recomputes
+// The durability contract: a point counts as completed only after an
+// fsync covering its journal record (CRC-checksummed) has returned, so a
+// crash at any instant loses at most the points that were still in flight
+// or queued for the committer. Workers hand finished points to a single
+// committer goroutine, which journals everything queued behind the first
+// point with one write and one fsync (group commit) instead of one per
+// point. Re-running with Resume skips journaled points and recomputes
 // only the rest; because every model is deterministic given its seeds,
 // the union is bitwise-identical to what an uninterrupted run would have
 // journaled.
@@ -263,74 +266,57 @@ func RunCampaign(ctx context.Context, spec CampaignSpec) (res CampaignResult, er
 	}
 
 	var (
-		mu          sync.Mutex // serializes journal appends and crash checks
-		recorded    int        // records appended by this run
-		crashed     atomic.Bool
-		lastBreaker = map[string]resilience.BreakerState{}
-	)
-	record := func(pr PointResult) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if crashed.Load() {
-			return errCampaignCrash
-		}
-		if cj != nil {
-			// After one failed append, CampaignJournal latches itself off and
-			// every later Append returns the original error, so a partial
-			// record left by a failed rollback is never concatenated onto.
-			if err := cj.Append(pr); err != nil {
-				return err
-			}
-			recorded++
-			if h := faultinject.Hooks(); h != nil && h.CampaignCrash != nil && h.CampaignCrash(recorded) {
-				crashed.Store(true)
-				return errCampaignCrash
-			}
-			if breaker != nil {
-				for _, st := range breaker.Snapshot() {
-					if lastBreaker[st.Key] == st {
-						continue
-					}
-					lastBreaker[st.Key] = st
-					if err := cj.appendBreaker(st); err != nil {
-						return err
-					}
-					recorded++
-				}
-			}
-		}
-		results[pr.Index] = pr
-		return nil
-	}
-
-	var (
 		wg       sync.WaitGroup
 		firstErr error
 		errOnce  sync.Once
+		// halted stops the campaign after an injected crash or a failed
+		// journal append: no point is handed out or journaled after it.
+		halted atomic.Bool
 	)
+	fail := func(err error) { errOnce.Do(func() { firstErr = err }) }
+
+	// finish takes a point the worker has solved. Without a journal the
+	// point is done; with one, it goes to the committer, which counts it
+	// done once an fsync covering its record has returned.
+	finish := func(pr PointResult) { results[pr.Index] = pr }
+	var (
+		committer *campaignCommitter
+		committed sync.WaitGroup
+	)
+	if cj != nil {
+		committer = newCampaignCommitter(cj, breaker, results)
+		finish = committer.hand
+		committed.Add(1)
+		go func() {
+			defer committed.Done()
+			committer.run(func(err error) {
+				halted.Store(true)
+				fail(err)
+			})
+		}()
+	}
+
 	work := make(chan int)
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for idx := range work {
-				if ctx.Err() != nil || crashed.Load() {
+				if ctx.Err() != nil || halted.Load() {
 					continue // drain; in-flight state is preserved by the journal
 				}
 				pr, perr := solveCampaignPoint(ctx, spec, breaker, idx)
 				if perr != nil {
-					errOnce.Do(func() { firstErr = perr })
+					fail(perr)
 					continue // aborted attempt: the point is not completed, resume will redo it
 				}
-				if rerr := record(pr); rerr != nil {
-					errOnce.Do(func() { firstErr = rerr })
-				}
+				finish(pr)
 			}
 		}()
 	}
 feed:
 	for _, idx := range pending {
-		if ctx.Err() != nil || crashed.Load() {
+		if ctx.Err() != nil || halted.Load() {
 			break
 		}
 		// Select on the send: with every worker busy in a slow solve, a
@@ -344,6 +330,12 @@ feed:
 	}
 	close(work)
 	wg.Wait()
+	if committer != nil {
+		// Every point handed off is committed (or, after a halt, dropped)
+		// before RunCampaign returns.
+		committer.close()
+		committed.Wait()
+	}
 
 	if cerr := ctx.Err(); cerr != nil {
 		return CampaignResult{}, fmt.Errorf("snoopmva: campaign interrupted: %w", classify(cerr))
@@ -373,6 +365,144 @@ feed:
 	return res, nil
 }
 
+// campaignCommitQueue bounds the hand-off queue between the campaign
+// workers and the committer, and with it the size of one commit group:
+// large enough that workers rarely wait on an fsync, small enough that
+// the queue's memory does not grow with the grid.
+const campaignCommitQueue = 128
+
+// finishedPoint is a solved point on its way to the committer, with the
+// breaker transitions captured when it was handed off.
+type finishedPoint struct {
+	pr       PointResult
+	breakers []resilience.BreakerState
+}
+
+// campaignCommitter makes the points of a journaled campaign durable, one
+// write and one fsync per group: workers hand points to its bounded queue,
+// and a single goroutine running run takes everything queued and commits
+// it.
+type campaignCommitter struct {
+	cj      *CampaignJournal
+	breaker *resilience.Breaker
+	results []PointResult
+
+	mu   sync.Mutex
+	cond sync.Cond // broadcast when queue or closed changes
+	// queue holds the points handed off and not yet taken.
+	queue  []finishedPoint
+	closed bool
+	// lastBreaker is the breaker state as of the last hand-off.
+	lastBreaker map[string]resilience.BreakerState
+
+	// recorded counts the records this run has made durable; it is the
+	// clock of the CampaignCrash hook. It and recs belong to run.
+	recorded int
+	recs     []campaignRecord
+}
+
+func newCampaignCommitter(cj *CampaignJournal, breaker *resilience.Breaker, results []PointResult) *campaignCommitter {
+	c := &campaignCommitter{cj: cj, breaker: breaker, results: results, lastBreaker: map[string]resilience.BreakerState{}}
+	c.cond.L = &c.mu
+	return c
+}
+
+// hand queues a solved point, waiting while the queue is full. The breaker
+// transitions since the previous hand-off are captured under the same lock
+// as the enqueue, so their records directly follow this point's record.
+func (c *campaignCommitter) hand(pr PointResult) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.queue) == campaignCommitQueue {
+		c.cond.Wait()
+	}
+	fp := finishedPoint{pr: pr}
+	if c.breaker != nil {
+		for _, st := range c.breaker.Snapshot() {
+			if c.lastBreaker[st.Key] != st {
+				c.lastBreaker[st.Key] = st
+				fp.breakers = append(fp.breakers, st)
+			}
+		}
+	}
+	c.queue = append(c.queue, fp)
+	c.cond.Broadcast()
+}
+
+// close ends the hand-offs: run returns once the queue is empty.
+func (c *campaignCommitter) close() {
+	c.mu.Lock()
+	c.closed = true
+	c.cond.Broadcast()
+	c.mu.Unlock()
+}
+
+// take waits for queued points and moves every one of them into batch. It
+// returns an empty batch once the queue is closed and drained.
+func (c *campaignCommitter) take(batch []finishedPoint) []finishedPoint {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.queue) == 0 && !c.closed {
+		c.cond.Wait()
+	}
+	batch = append(batch[:0], c.queue...)
+	c.queue = c.queue[:0]
+	c.cond.Broadcast()
+	return batch
+}
+
+// run commits the queued points group by group until close. After a
+// failed commit it calls stop once and drops the points it takes, so no
+// worker waits on a full queue.
+func (c *campaignCommitter) run(stop func(error)) {
+	var batch []finishedPoint
+	stopped := false
+	for {
+		if batch = c.take(batch); len(batch) == 0 {
+			return
+		}
+		if stopped {
+			continue
+		}
+		if err := c.commit(batch); err != nil {
+			stopped = true
+			stop(err)
+		}
+	}
+}
+
+// commit journals batch as one group and, once its fsync has returned,
+// publishes the points. The CampaignCrash hook is consulted at each point
+// record with the count that record brings the clock to; when it fires,
+// the group is cut right after that record, so exactly the records up to
+// the crash are durable, and commit returns errCampaignCrash.
+func (c *campaignCommitter) commit(batch []finishedPoint) error {
+	h := faultinject.Hooks()
+	c.recs = c.recs[:0]
+	cut, crashed := len(batch), false
+	for i := range batch {
+		c.recs = append(c.recs, campaignRecord{Kind: "point", Point: &batch[i].pr})
+		if h != nil && h.CampaignCrash != nil && h.CampaignCrash(c.recorded+len(c.recs)) {
+			cut, crashed = i+1, true
+			break
+		}
+		for _, st := range batch[i].breakers {
+			c.recs = append(c.recs, campaignRecord{Kind: "breaker", Stage: st.Key, Failures: st.Failures, Open: st.Open})
+		}
+	}
+	if err := c.cj.appendRecords(c.recs); err != nil {
+		return err // the campaign fails, so no result is published
+	}
+	c.recorded += len(c.recs)
+	for _, fp := range batch[:cut] {
+		c.results[fp.pr.Index] = fp.pr
+	}
+	if crashed {
+		return errCampaignCrash
+	}
+	return nil
+}
+
 // CampaignJournal is an open campaign checkpoint log: the crash-safe
 // journal of DESIGN.md §10 with the campaign record schema (fingerprinted
 // header, point records, breaker records) layered on top. It is the
@@ -389,6 +519,8 @@ type CampaignJournal struct {
 	// appending after that would concatenate onto a partial record,
 	// turning a recoverable torn tail into mid-file corruption.
 	appendErr error
+	// payloads is appendRecords' encode buffer, kept between calls.
+	payloads [][]byte
 }
 
 // OpenCampaignJournal opens (or creates) the campaign journal at path,
@@ -503,30 +635,35 @@ func (cj *CampaignJournal) Completed() map[int]PointResult { return cj.completed
 // returns the original error, so a partial record left by a failed
 // rollback is never concatenated onto.
 func (cj *CampaignJournal) Append(pr PointResult) error {
-	if cj.appendErr != nil {
-		return cj.appendErr
-	}
-	if err := cj.jn.Append(campaignRecord{Kind: "point", Point: &pr}); err != nil {
-		cj.appendErr = err
-		return err
-	}
-	return nil
+	return cj.appendRecords([]campaignRecord{{Kind: "point", Point: &pr}})
 }
 
-// appendBreaker journals one circuit-breaker state change, with the same
-// latch discipline as Append. The distributed coordinator does not
-// journal breaker records — its per-worker circuits track live processes,
-// which a resumed coordinator re-probes from scratch — so this stays
-// root-only.
-func (cj *CampaignJournal) appendBreaker(st resilience.BreakerState) error {
+// appendRecords journals recs with one write and one fsync. On an error
+// exactly the records before the one that failed to marshal or append are
+// durable, and the journal latches off, as for Append.
+func (cj *CampaignJournal) appendRecords(recs []campaignRecord) error {
 	if cj.appendErr != nil {
 		return cj.appendErr
 	}
-	if err := cj.jn.Append(campaignRecord{Kind: "breaker", Stage: st.Key, Failures: st.Failures, Open: st.Open}); err != nil {
-		cj.appendErr = err
-		return err
+	payloads := cj.payloads[:0]
+	var merr error
+	for _, rec := range recs {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			merr = fmt.Errorf("journal: marshal record: %w", err)
+			break
+		}
+		payloads = append(payloads, b)
 	}
-	return nil
+	cj.payloads = payloads
+	_, err := cj.jn.AppendBatch(payloads)
+	if err == nil {
+		err = merr
+	}
+	if err != nil {
+		cj.appendErr = err
+	}
+	return err
 }
 
 // breakerStates returns the journaled breaker states in sorted order.

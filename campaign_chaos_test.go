@@ -6,15 +6,21 @@ package snoopmva
 // resume deterministic — plus the breaker's budget-saving guarantee.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"snoopmva/internal/faultinject"
 	"snoopmva/internal/journal"
+	"snoopmva/internal/obs"
 )
 
 func TestChaosCrashAndResumeIsBitwiseIdentical(t *testing.T) {
@@ -335,5 +341,171 @@ func TestChaosBreakerProbeClosesAfterRecovery(t *testing.T) {
 	}
 	if len(res.OpenStages) != 0 {
 		t.Fatalf("circuit still open after recovery: %v", res.OpenStages)
+	}
+}
+
+// The journal's group-commit counters, looked up by name in the shared
+// registry.
+var (
+	journalSyncs   = obs.Default.Counter("snoopmva_journal_syncs_total", "")
+	journalRecords = obs.Default.Counter("snoopmva_journal_records_total", "")
+)
+
+// slowAppends makes every journal append slow — the hook sleeps before
+// each record and returns nil — so that points finishing meanwhile queue
+// up behind it and groups carry several records. It reports the offset at
+// which each group's write starts: the file size when the group was being
+// encoded.
+func slowAppends(t *testing.T) (restore func(), groupStarts func() []int64) {
+	var (
+		mu     sync.Mutex
+		starts []int64
+	)
+	restore = faultinject.Activate(&faultinject.Set{
+		JournalAppendFault: func(p string) error {
+			time.Sleep(500 * time.Microsecond)
+			fi, err := os.Stat(p)
+			if err != nil {
+				t.Errorf("stat journal: %v", err)
+				return nil
+			}
+			mu.Lock()
+			if n := len(starts); n == 0 || starts[n-1] != fi.Size() {
+				starts = append(starts, fi.Size())
+			}
+			mu.Unlock()
+			return nil
+		},
+	})
+	return restore, func() []int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]int64(nil), starts...)
+	}
+}
+
+func TestCampaignGroupCommitCoversSeveralRecordsPerSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.jsonl")
+	restore, _ := slowAppends(t)
+	syncs, records := journalSyncs.Value(), journalRecords.Value()
+	_, err := RunCampaign(context.Background(), CampaignSpec{
+		Points: testGrid(24, mvaOnlyBudget), Journal: path, Workers: 2,
+	})
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs, records = journalSyncs.Value()-syncs, journalRecords.Value()-records
+	if records < 25 || float64(records)/float64(syncs) <= 1 {
+		t.Fatalf("%d records in %d syncs: want the header and 24 points at more than one record per sync", records, syncs)
+	}
+}
+
+func TestChaosTornGroupIsRecoveredOnResume(t *testing.T) {
+	dir := t.TempDir()
+	points := testGrid(8, mvaOnlyBudget)
+	spec := func(path string, resume bool) CampaignSpec {
+		return CampaignSpec{Points: points, Journal: path, Resume: resume, Workers: 2, BreakerThreshold: -1}
+	}
+	ref, err := RunCampaign(context.Background(), CampaignSpec{Points: points, Workers: 1, BreakerThreshold: -1})
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+
+	path := filepath.Join(dir, "c.jsonl")
+	restore, groupStarts := slowAppends(t)
+	_, err = RunCampaign(context.Background(), spec(path, false))
+	restore()
+	if err != nil {
+		t.Fatalf("slow-journal run: %v", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last group of more than one record: a crash during its write
+	// leaves the groups before it plus a prefix of it.
+	starts := append(groupStarts(), int64(len(raw)))
+	lo, hi := int64(-1), int64(-1)
+	for g := len(starts) - 2; g >= 0; g-- {
+		if bytes.Count(raw[starts[g]:starts[g+1]], []byte("\n")) > 1 {
+			lo, hi = starts[g], starts[g+1]
+			break
+		}
+	}
+	if lo < 0 {
+		t.Fatalf("no append carried more than one record (group starts %v)", starts)
+	}
+
+	torn := filepath.Join(dir, "torn.jsonl")
+	for off := lo; off <= hi; off++ {
+		if err := os.WriteFile(torn, raw[:off], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Every whole line of the torn write is an intact record, and only
+		// those points are complete.
+		survived := bytes.Count(raw[:off], []byte("\n")) - 1 // minus the header
+		res, err := RunCampaign(context.Background(), spec(torn, true))
+		if err != nil {
+			t.Fatalf("tear at byte %d of %d: resume: %v", off-lo, hi-lo, err)
+		}
+		if res.Resumed != survived || res.Computed != len(points)-survived || res.Failed != 0 {
+			t.Fatalf("tear at byte %d of %d: accounting %+v, want %d resumed", off-lo, hi-lo, res, survived)
+		}
+		for i, want := range ref.Results {
+			got := res.Results[i]
+			got.Resumed = false
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("tear at byte %d of %d: point %d = %+v, want %+v", off-lo, hi-lo, i, got, want)
+			}
+		}
+		if final := journalPoints(t, torn); len(final) != len(points) { // fails on duplicates
+			t.Fatalf("tear at byte %d of %d: journal has %d of %d points", off-lo, hi-lo, len(final), len(points))
+		}
+	}
+}
+
+func TestChaosBreakerRecordsFollowTheirPoint(t *testing.T) {
+	// GTPN explodes on every point, so the third point trips the GTPN
+	// circuit. Its breaker record must directly follow that point's
+	// record, and a resume must restore the open circuit from it.
+	restore := faultinject.Activate(&faultinject.Set{PetriExplode: func(int) bool { return true }})
+	defer restore()
+	path := filepath.Join(t.TempDir(), "c.jsonl")
+	spec := CampaignSpec{Points: testGrid(10, Budget{SimCycles: -1}), Journal: path, Workers: 1, BreakerThreshold: 3}
+	if _, err := RunCampaign(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	j, info, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	var recs []campaignRecord
+	for _, p := range info.Payloads {
+		var rec campaignRecord
+		if err := json.Unmarshal(p, &rec); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	tripped := -1
+	for i, rec := range recs {
+		if rec.Kind == "breaker" && rec.Stage == stageGTPN && rec.Open {
+			tripped = i
+			break
+		}
+	}
+	if tripped < 2 || recs[tripped-1].Kind != "point" || recs[tripped-1].Point.Index != 2 {
+		t.Fatalf("GTPN circuit opened at record %d, want directly after point 2's record: %+v", tripped, recs)
+	}
+
+	spec.Resume = true
+	res, err := RunCampaign(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resumed != 10 || len(res.OpenStages) != 1 || res.OpenStages[0] != stageGTPN {
+		t.Fatalf("resume: %d resumed, open stages %v; want 10 and [gtpn]", res.Resumed, res.OpenStages)
 	}
 }

@@ -16,9 +16,11 @@
 // matches; payload bytes are preserved verbatim through read-back, so a
 // journal round-trips bit-for-bit.
 //
-// Every record is written newline-terminated in a single write whose
-// payload cannot contain '\n', so the only damage a crashed sequential,
-// synced writer can leave behind is an unterminated prefix of the final
+// Every record is newline-terminated and its payload cannot contain '\n';
+// an append writes its whole group of records in a single write and
+// fsyncs once. A crashed sequential, synced writer can therefore leave
+// behind only a prefix of its last write: zero or more whole records of
+// that group, which are intact, then an unterminated prefix of the next
 // line. Exactly that shape is recovered by truncation; any *complete*
 // line that fails to decode — mid-file damage, a foreign file passed by
 // mistake — is reported as ErrCorrupt instead of being silently dropped.
@@ -72,6 +74,8 @@ type Journal struct {
 	// further append would concatenate onto it, turning a recoverable
 	// torn tail into mid-file corruption.
 	broken error
+	// buf is the encode buffer of AppendBatch, kept between calls.
+	buf []byte
 }
 
 // Open opens (creating if absent) the journal at path, validates every
@@ -114,8 +118,8 @@ func Open(path string) (*Journal, OpenInfo, error) {
 
 // scan validates raw and returns the intact payloads plus the byte length
 // of the valid prefix. Only an unterminated final line can be a torn
-// write — each record is appended newline-terminated in a single write,
-// so a crash leaves at most a prefix of the last line. A complete line
+// write — records are appended newline-terminated, a group per write, so
+// a crash leaves at most a prefix of the last write. A complete line
 // that fails to decode proves damage no crash produced → ErrCorrupt.
 func scan(raw []byte) (OpenInfo, int64, error) {
 	var info OpenInfo
@@ -150,7 +154,36 @@ func decodeLine(line []byte) ([]byte, bool) {
 }
 
 func checksum(data []byte) string {
-	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(data))
+	var b [8]byte
+	return string(appendCRC(b[:0], data))
+}
+
+// appendCRC appends the 8 lowercase hex digits of data's IEEE CRC32.
+func appendCRC(buf, data []byte) []byte {
+	const digits = "0123456789abcdef"
+	c := crc32.ChecksumIEEE(data)
+	for shift := 28; shift >= 0; shift -= 4 {
+		buf = append(buf, digits[c>>shift&0xf])
+	}
+	return buf
+}
+
+// validPayload reports whether data can be a record payload: valid JSON
+// on a single line.
+func validPayload(data []byte) bool {
+	return bytes.IndexByte(data, '\n') < 0 && json.Valid(data)
+}
+
+// appendRecord appends the newline-terminated envelope line of payload
+// data to buf. The payload is copied verbatim, so the line is exactly
+// what json.Marshal of the envelope produces for the compact,
+// HTML-escaped payloads json.Marshal itself emits.
+func appendRecord(buf, data []byte) []byte {
+	buf = append(buf, `{"crc":"`...)
+	buf = appendCRC(buf, data)
+	buf = append(buf, `","data":`...)
+	buf = append(buf, data...)
+	return append(buf, '}', '\n')
 }
 
 // Append marshals v, wraps it in a checksummed envelope, writes the record
@@ -163,55 +196,89 @@ func (j *Journal) Append(v any) error {
 	return j.AppendRaw(data)
 }
 
-// AppendRaw appends pre-marshaled payload bytes (which must be a single
-// line of valid JSON) as one checksummed record. On a failed write or
-// sync — e.g. a short write on a full disk — the file is rolled back to
-// the end of the last durable record; if even that fails, the journal
-// latches broken and refuses further appends rather than risk
-// concatenating onto a partial record.
+// AppendRaw appends one pre-marshaled payload: it is AppendBatch of a
+// single record.
 func (j *Journal) AppendRaw(data []byte) error {
-	if j.broken != nil {
-		return fmt.Errorf("journal: %s latched broken by earlier failed append: %w", j.path, j.broken)
-	}
-	if bytes.IndexByte(data, '\n') >= 0 {
-		return fmt.Errorf("journal: payload contains a newline")
-	}
-	line, err := json.Marshal(envelope{CRC: checksum(data), Data: data})
-	if err != nil {
-		return fmt.Errorf("journal: marshal envelope: %w", err)
-	}
-	line = append(line, '\n')
-	if h := faultinject.Hooks(); h != nil && h.JournalAppendFault != nil {
-		if ferr := h.JournalAppendFault(j.path); ferr != nil {
-			j.f.Write(line[:len(line)/2]) // simulate the short write of e.g. ENOSPC
-			j.rollback(ferr)
-			return fmt.Errorf("journal: append to %s: %w", j.path, ferr)
-		}
-	}
-	if _, err := j.f.Write(line); err != nil {
-		j.rollback(err)
-		return fmt.Errorf("journal: append to %s: %w", j.path, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		j.rollback(err)
-		return fmt.Errorf("journal: sync %s: %w", j.path, err)
-	}
-	j.size += int64(len(line))
-	return nil
+	_, err := j.AppendBatch([][]byte{data})
+	return err
 }
 
-// rollback truncates the file back to the end of the last fully appended
-// record after a failed append (cause). If the truncate or the seek back
+// AppendBatch appends pre-marshaled payloads (each a single line of valid
+// JSON) as consecutive checksummed records with one write and one fsync,
+// and returns how many of them are durable. On success that is all of
+// them. A payload that is not a single line of valid JSON, or an append
+// fault at record k, makes records 0..k-1 durable and returns k with the
+// error; record k and everything after it are not written.
+//
+// On a failed write or sync — e.g. a short write on a full disk — the file
+// is rolled back to the end of the last durable record and AppendBatch
+// returns 0; if even that rollback fails, the journal latches broken and
+// refuses further appends rather than risk concatenating onto a partial
+// record.
+func (j *Journal) AppendBatch(payloads [][]byte) (int, error) {
+	if j.broken != nil {
+		return 0, fmt.Errorf("journal: %s latched broken by earlier failed append: %w", j.path, j.broken)
+	}
+	buf := j.buf[:0]
+	var (
+		n     = len(payloads)
+		keep  int // bytes of whole records in buf
+		cause error
+	)
+	for i, data := range payloads {
+		if !validPayload(data) {
+			n, cause = i, fmt.Errorf("journal: append to %s: payload %d is not a single line of JSON", j.path, i)
+			break
+		}
+		buf = appendRecord(buf, data)
+		if h := faultinject.Hooks(); h != nil && h.JournalAppendFault != nil {
+			if ferr := h.JournalAppendFault(j.path); ferr != nil {
+				// Keep half of the failing record: the short write of e.g.
+				// ENOSPC, which the rollback below must undo.
+				n, cause = i, fmt.Errorf("journal: append to %s: %w", j.path, ferr)
+				buf = buf[:keep+(len(buf)-keep)/2]
+				break
+			}
+		}
+		keep = len(buf)
+	}
+	j.buf = buf
+	if len(buf) > 0 {
+		if _, err := j.f.Write(buf); err != nil {
+			j.rollback(j.size, err)
+			return 0, fmt.Errorf("journal: append to %s: %w", j.path, err)
+		}
+		if keep < len(buf) {
+			j.rollback(j.size+int64(keep), cause)
+			if j.broken != nil {
+				return 0, cause
+			}
+		}
+	}
+	if keep > 0 {
+		if err := j.f.Sync(); err != nil {
+			j.rollback(j.size, err)
+			return 0, fmt.Errorf("journal: sync %s: %w", j.path, err)
+		}
+		j.size += int64(keep)
+		journalSyncs.Inc()
+		journalRecords.Add(uint64(n))
+	}
+	return n, cause
+}
+
+// rollback truncates the file back to size, the end of the last whole
+// record, after a failed append (cause). If the truncate or the seek back
 // fails too, the file may still end in a partial record, so the journal
 // latches broken instead.
-func (j *Journal) rollback(cause error) {
-	if err := j.f.Truncate(j.size); err != nil {
+func (j *Journal) rollback(size int64, cause error) {
+	if err := j.f.Truncate(size); err != nil {
 		j.broken = cause
 		return
 	}
 	// The initial Open handle is not O_APPEND, so the write offset must be
 	// moved back explicitly or the next write would leave a hole.
-	if _, err := j.f.Seek(j.size, io.SeekStart); err != nil {
+	if _, err := j.f.Seek(size, io.SeekStart); err != nil {
 		j.broken = cause
 	}
 }
@@ -249,18 +316,19 @@ func (j *Journal) Rotate(payloads [][]byte) error {
 		return ferr
 	}
 	var written int64
-	for _, data := range payloads {
-		line, err := json.Marshal(envelope{CRC: checksum(data), Data: data})
-		if err != nil {
-			return discard(fmt.Errorf("journal: rotate %s: marshal: %w", j.path, err))
+	var line []byte
+	for i, data := range payloads {
+		if !validPayload(data) {
+			return discard(fmt.Errorf("journal: rotate %s: payload %d is not a single line of JSON", j.path, i))
 		}
+		line = appendRecord(line[:0], data)
 		if ferr := fault("write"); ferr != nil {
 			return discard(fmt.Errorf("journal: rotate %s: write: %w", j.path, ferr))
 		}
-		if _, err := tmp.Write(append(line, '\n')); err != nil {
+		if _, err := tmp.Write(line); err != nil {
 			return discard(fmt.Errorf("journal: rotate %s: write: %w", j.path, err))
 		}
-		written += int64(len(line)) + 1
+		written += int64(len(line))
 	}
 	if ferr := fault("sync"); ferr != nil {
 		return discard(fmt.Errorf("journal: rotate %s: sync: %w", j.path, ferr))

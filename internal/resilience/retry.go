@@ -165,7 +165,9 @@ func retryAfterHint(err error) time.Duration {
 // least the hint (capped by MaxDelay).
 func Retry(ctx context.Context, p RetryPolicy, classify Classifier, op func(ctx context.Context, attempt int) error) (attempts int, err error) {
 	p = p.withDefaults()
-	delays := p.Delays()
+	// The delays are drawn on the first retry: seeding the jitter stream
+	// costs an RNG allocation that a first-attempt success never needs.
+	var delays []time.Duration
 	for attempt := 1; attempt <= p.MaxAttempts; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return attempts, cerr
@@ -185,6 +187,9 @@ func Retry(ctx context.Context, p RetryPolicy, classify Classifier, op func(ctx 
 		}
 		if class != Retryable || attempt == p.MaxAttempts {
 			return attempts, err
+		}
+		if delays == nil {
+			delays = p.Delays()
 		}
 		delay := delays[attempt-1]
 		if hint := retryAfterHint(err); hint > delay {

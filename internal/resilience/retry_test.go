@@ -215,3 +215,56 @@ func TestRetryAfterErrorPreservesClass(t *testing.T) {
 		t.Fatalf("got calls=%d err=%v, want 1 call and the permanent error", calls, err)
 	}
 }
+
+// jitterPolicy is a policy whose delays are long enough to observe and
+// whose jitter stream matters.
+var jitterPolicy = RetryPolicy{MaxAttempts: 6, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Jitter: 0.3, Seed: 7}
+
+// TestDelaysSequenceIsPinned pins the jitter stream of a fixed seed, so
+// that drawing the delays lazily cannot change a retried campaign's
+// schedule, and checks that Retry sleeps at least each of them in turn.
+func TestDelaysSequenceIsPinned(t *testing.T) {
+	want := []time.Duration{2502670, 3355617, 6758660, 19950996, 22378826}
+	got := jitterPolicy.Delays()
+	if len(got) != len(want) {
+		t.Fatalf("Delays() = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Delays()[%d] = %d, want %d (full: %v)", i, got[i], want[i], got)
+		}
+	}
+
+	var last time.Time
+	attempts, err := Retry(context.Background(), jitterPolicy, nil, func(_ context.Context, attempt int) error {
+		now := time.Now()
+		if attempt > 1 {
+			if gap := now.Sub(last); gap < want[attempt-2] {
+				t.Errorf("slept %v before attempt %d, want at least %v", gap, attempt, want[attempt-2])
+			}
+		}
+		last = now
+		return errBoom
+	})
+	if attempts != jitterPolicy.MaxAttempts || !errors.Is(err, errBoom) {
+		t.Fatalf("Retry: attempts %d, err %v", attempts, err)
+	}
+}
+
+func succeed(context.Context, int) error { return nil }
+
+// TestRetryFirstAttemptSuccessAllocatesNothing: a first-attempt success
+// never draws a delay, so it must not seed a jitter stream.
+func TestRetryFirstAttemptSuccessAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	for _, p := range []RetryPolicy{{}, jitterPolicy} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Retry(ctx, p, classifyMarked, succeed); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("policy %+v: first-attempt success allocates %v times, want 0", p, allocs)
+		}
+	}
+}
