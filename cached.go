@@ -2,7 +2,6 @@ package snoopmva
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"snoopmva/internal/obs"
@@ -41,10 +40,10 @@ func (s CacheStats) HitRate() float64 {
 	return solvecache.Stats{Hits: s.Hits, Misses: s.Misses, Coalesced: s.Coalesced}.HitRate()
 }
 
-// CachedSolver wraps the package-level solvers with a bounded memoization
-// cache. Construct with NewCachedSolver; a CachedSolver is safe for
-// concurrent use by any number of goroutines, and a single instance is
-// meant to be shared process-wide (each instance has its own cache).
+// CachedSolver is the memoizing Solver: it decorates Uncached with a
+// bounded cache. Construct with NewCachedSolver; a CachedSolver is safe
+// for concurrent use by any number of goroutines, and a single instance
+// is meant to be shared process-wide (each instance has its own cache).
 //
 // Two configurations share a cache entry exactly when every input that
 // affects the solution is identical: protocol modification set (preset
@@ -59,7 +58,7 @@ func (s CacheStats) HitRate() float64 {
 // computation runs under the context of whichever caller started it; if
 // that context fires, every coalesced caller observes the resulting
 // ErrCanceled (and nothing is cached). Callers with independent deadlines
-// that must not share fate should use the uncached package-level solvers.
+// that must not share fate should use Uncached.
 type CachedSolver struct {
 	cache *solvecache.Cache
 }
@@ -69,6 +68,15 @@ type CachedSolver struct {
 // above the paper's full design-space grid).
 func NewCachedSolver(capacity int) *CachedSolver {
 	return &CachedSolver{cache: solvecache.New(capacity)}
+}
+
+// orUncached resolves an optional cache to the Solver to call: c itself,
+// or Uncached when c is nil.
+func orUncached(c *CachedSolver) Solver {
+	if c == nil {
+		return Uncached{}
+	}
+	return c
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -100,20 +108,10 @@ func (c *CachedSolver) Solve(p Protocol, w Workload, n int) (Result, error) {
 	return c.SolveWithContext(context.Background(), p, w, Timing{}, n, Options{})
 }
 
-// SolveContext is the cached SolveContext.
-func (c *CachedSolver) SolveContext(ctx context.Context, p Protocol, w Workload, n int) (Result, error) {
-	return c.SolveWithContext(ctx, p, w, Timing{}, n, Options{})
-}
-
-// SolveWith is the cached SolveWith.
-func (c *CachedSolver) SolveWith(p Protocol, w Workload, t Timing, n int, opts Options) (Result, error) {
-	return c.SolveWithContext(context.Background(), p, w, t, n, opts)
-}
-
-// SolveWithContext is the cached SolveWithContext. The hit path is
-// allocation-free: the input is encoded into a pooled builder and probed
-// with Cache.Lookup; only a miss finalizes a canonical key and enters
-// the singleflight Do.
+// SolveWithContext is the cached Uncached.SolveWithContext. The hit path
+// is allocation-free: the input is encoded into a pooled builder and
+// probed with Cache.Lookup; only a miss finalizes a canonical key and
+// enters the singleflight Do.
 func (c *CachedSolver) SolveWithContext(ctx context.Context, p Protocol, w Workload, t Timing, n int, opts Options) (res Result, err error) {
 	defer guard(&err)
 	b := solvecache.AcquireKey()
@@ -125,7 +123,7 @@ func (c *CachedSolver) SolveWithContext(ctx context.Context, p Protocol, w Workl
 	k := b.Key()
 	b.Release()
 	v, err := c.cache.Do(k, func() (any, error) {
-		r, serr := SolveWithContext(ctx, p, w, t, n, opts)
+		r, serr := Uncached{}.SolveWithContext(ctx, p, w, t, n, opts)
 		if serr != nil {
 			return nil, serr
 		}
@@ -137,15 +135,8 @@ func (c *CachedSolver) SolveWithContext(ctx context.Context, p Protocol, w Workl
 	return v.(Result), nil
 }
 
-// SolveMany is the cached SolveMany: each point is served from the cache
-// when resident, and the misses are batch-solved on shared scratch (see
-// the package-level SolveMany) before being published to the cache.
-func (c *CachedSolver) SolveMany(inputs []SolveInput) ([]Result, error) {
-	return c.SolveManyContext(context.Background(), inputs)
-}
-
-// SolveManyContext is SolveMany with cancellation. Hits are probed with
-// the pooled allocation-free encoder; misses are grouped by
+// SolveManyContext is the cached Uncached.SolveManyContext. Hits are
+// probed with the pooled allocation-free encoder; misses are grouped by
 // configuration and solved through the amortized batch path, then
 // published under singleflight. If a concurrent flight for the same key
 // is in progress, the flight's value (bitwise identical for a
@@ -194,7 +185,7 @@ func (c *CachedSolver) SolveManyContext(ctx context.Context, inputs []SolveInput
 func (c *CachedSolver) SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (best BestResult, err error) {
 	defer guard(&err)
 	v, err := c.cache.Do(bestKey(p, w, n, b), func() (any, error) {
-		r, serr := SolveBest(ctx, p, w, n, b)
+		r, serr := Uncached{}.SolveBest(ctx, p, w, n, b)
 		if serr != nil {
 			return nil, serr
 		}
@@ -221,59 +212,24 @@ func (c *CachedSolver) PeekSolveBest(p Protocol, w Workload, n int, b Budget) (B
 	return cloneBest(v.(BestResult)), true
 }
 
-// Compare is the cached Compare: per-protocol solves go through the cache,
-// and like the package-level variants every protocol is attempted with the
-// failures joined (each identified by its protocol).
-func (c *CachedSolver) Compare(ps []Protocol, w Workload, n int) ([]Result, error) {
-	return c.CompareContext(context.Background(), ps, w, n)
-}
-
-// CompareContext is Compare with cancellation.
-func (c *CachedSolver) CompareContext(ctx context.Context, ps []Protocol, w Workload, n int) (out []Result, err error) {
-	defer guard(&err)
-	return compareSerial(ps, func(p Protocol) (Result, error) {
-		return c.SolveContext(ctx, p, w, n)
-	})
-}
-
-// Sweep is the cached Sweep. Each size is solved (or fetched) on its own
-// canonical cold-start key: unlike the package-level warm-started Sweep,
-// cached sweep entries never depend on which sizes were solved before, so
-// a cache hit is bitwise identical to a cold per-size Solve. A repeated
-// sweep is then pure cache hits — cheaper than any warm start.
-func (c *CachedSolver) Sweep(p Protocol, w Workload, ns []int) ([]Result, error) {
-	return c.SweepContext(context.Background(), p, w, ns)
-}
-
-// SweepContext is Sweep with cancellation: it stops at the first size
-// whose solve fails or is canceled.
+// SweepContext is the cached sweep. Each size is solved (or fetched) on
+// its own canonical cold-start key: unlike the warm-started
+// Uncached.SweepContext, cached sweep entries never depend on which sizes
+// were solved before, so a cache hit is bitwise identical to a cold
+// per-size solve. A repeated sweep is then pure cache hits — cheaper than
+// any warm start. It stops at the first size whose solve fails or is
+// canceled.
 func (c *CachedSolver) SweepContext(ctx context.Context, p Protocol, w Workload, ns []int) (out []Result, err error) {
 	defer guard(&err)
 	out = make([]Result, 0, len(ns))
 	for _, n := range ns {
-		r, serr := c.SolveContext(ctx, p, w, n)
+		r, serr := c.SolveWithContext(ctx, p, w, Timing{}, n, Options{})
 		if serr != nil {
 			return nil, fmt.Errorf("snoopmva: sweep at N=%d: %w", n, serr)
 		}
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// SweepParallel is the cached SweepParallel.
-func (c *CachedSolver) SweepParallel(p Protocol, w Workload, ns []int) ([]Result, error) {
-	return c.SweepParallelContext(context.Background(), p, w, ns)
-}
-
-// SweepParallelContext is the cached SweepParallelContext: concurrent
-// sizes solve in parallel on first touch, identical concurrent sweeps
-// coalesce per size, and repeats are served from the cache. Error
-// aggregation matches the package-level variant.
-func (c *CachedSolver) SweepParallelContext(ctx context.Context, p Protocol, w Workload, ns []int) (out []Result, err error) {
-	defer guard(&err)
-	return sweepParallel(ctx, ns, func(ctx context.Context, n int) (Result, error) {
-		return c.SolveContext(ctx, p, w, n)
-	})
 }
 
 // cloneBest gives the caller its own copy of the per-model detail structs.
@@ -352,16 +308,6 @@ func appendSolveKey(b *solvecache.KeyBuilder, p Protocol, w Workload, t Timing, 
 	b.Int(int64(n))
 }
 
-// solveKey finalizes a canonical Key for the miss path (Do needs the
-// canonical string to outlive the builder; hits never come here).
-func solveKey(p Protocol, w Workload, t Timing, n int, opts Options) solvecache.Key {
-	b := solvecache.AcquireKey()
-	appendSolveKey(b, p, w, t, n, opts)
-	k := b.Key()
-	b.Release()
-	return k
-}
-
 // appendBestKey canonicalizes one SolveBest input into a pooled builder.
 //
 //snoop:hotpath runs on every cached SolveBest; appends into the pooled builder's reused buffer
@@ -384,24 +330,4 @@ func bestKey(p Protocol, w Workload, n int, bg Budget) solvecache.Key {
 	k := b.Key()
 	b.Release()
 	return k
-}
-
-// compareSerial drives one solve per protocol in input order, attempting
-// every protocol and joining the per-protocol failures — the error shape
-// shared by Compare, CachedSolver.Compare and CompareParallelContext.
-func compareSerial(ps []Protocol, solve func(Protocol) (Result, error)) ([]Result, error) {
-	results := make([]Result, len(ps))
-	var joined []error
-	for i, p := range ps {
-		r, err := solve(p)
-		if err != nil {
-			joined = append(joined, fmt.Errorf("snoopmva: %v: %w", p, err))
-			continue
-		}
-		results[i] = r
-	}
-	if len(joined) > 0 {
-		return nil, errors.Join(joined...)
-	}
-	return results, nil
 }

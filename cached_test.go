@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"snoopmva/internal/faultinject"
+	"snoopmva/internal/stats"
 )
 
 func TestCachedSolveBitwiseMatchesUncached(t *testing.T) {
@@ -61,7 +62,8 @@ func TestCachedSolverKeyDiscrimination(t *testing.T) {
 
 	// The zero Timing means the paper defaults: must share with
 	// DefaultTiming().
-	if _, err := cs.SolveWith(Illinois(), w, DefaultTiming(), 8, Options{}); err != nil {
+	ctx := context.Background()
+	if _, err := cs.SolveWithContext(ctx, Illinois(), w, DefaultTiming(), 8, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if s := cs.Stats(); s.Misses != 1 || s.Hits != 2 {
@@ -77,7 +79,7 @@ func TestCachedSolverKeyDiscrimination(t *testing.T) {
 	if _, err := cs.Solve(Illinois(), w, 9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cs.SolveWith(Illinois(), w, Timing{}, 8, Options{SplitTransactionBus: true}); err != nil {
+	if _, err := cs.SolveWithContext(ctx, Illinois(), w, Timing{}, 8, Options{SplitTransactionBus: true}); err != nil {
 		t.Fatal(err)
 	}
 	if s := cs.Stats(); s.Misses != 4 {
@@ -226,57 +228,72 @@ func TestCachedSolverErrorsNotCachedAndClassified(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	heavy := AppendixA(Sharing20)
-	if _, err := cs.SolveContext(ctx, WriteOnce(), heavy, 100); !errors.Is(err, ErrCanceled) {
+	if _, err := cs.SolveWithContext(ctx, WriteOnce(), heavy, Timing{}, 100, Options{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled solve: %v", err)
 	}
-	if got, err := cs.SolveContext(context.Background(), WriteOnce(), heavy, 100); err != nil || got.N != 100 {
+	if got, err := cs.SolveWithContext(context.Background(), WriteOnce(), heavy, Timing{}, 100, Options{}); err != nil || got.N != 100 {
 		t.Fatalf("solve after canceled flight: %+v, %v", got, err)
 	}
 }
 
 func TestCachedSweepsMatchColdSolves(t *testing.T) {
-	cs := NewCachedSolver(0)
+	ctx := context.Background()
 	w := AppendixA(Sharing20)
 	ns := []int{1, 2, 4, 8, 16, 32}
-	seq, err := cs.SweepContext(context.Background(), Illinois(), w, ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := cs.SweepParallelContext(context.Background(), Illinois(), w, ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range ns {
-		cold, err := Solve(Illinois(), w, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Cached sweeps use canonical cold-start entries: bitwise equality
-		// with a per-size cold solve is the contract.
-		if seq[i] != cold {
-			t.Errorf("N=%d: cached sweep %+v != cold solve %+v", n, seq[i], cold)
-		}
-		if par[i] != cold {
-			t.Errorf("N=%d: cached parallel sweep %+v != cold solve %+v", n, par[i], cold)
-		}
-	}
-	// The second sweep must be all hits.
-	s := cs.Stats()
-	if s.Misses != uint64(len(ns)) {
-		t.Errorf("two sweeps over the same sizes ran %d solves, want %d", s.Misses, len(ns))
+	for _, c := range solverCases() {
+		t.Run(c.name, func(t *testing.T) {
+			seq, err := c.s.SweepContext(ctx, Illinois(), w, ns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := SweepParallel(ctx, c.s, Illinois(), w, ns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs, cached := c.s.(*CachedSolver)
+			for i, n := range ns {
+				cold, err := Solve(Illinois(), w, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Parallel sweeps and cached sweeps solve every size cold:
+				// bitwise equality with a per-size cold solve is the contract.
+				// The uncached sequential sweep warm-starts, so it agrees to
+				// solver tolerance instead.
+				if par[i] != cold {
+					t.Errorf("N=%d: parallel sweep %+v != cold solve %+v", n, par[i], cold)
+				}
+				if cached && seq[i] != cold {
+					t.Errorf("N=%d: sweep %+v != cold solve %+v", n, seq[i], cold)
+				}
+				if !cached && (seq[i].N != n || !stats.ApproxEq(seq[i].Speedup, cold.Speedup, 1e-7)) {
+					t.Errorf("N=%d: warm sweep %+v disagrees with cold solve %+v", n, seq[i], cold)
+				}
+			}
+			// The second cached sweep must be all hits.
+			if cached {
+				if s := cs.Stats(); s.Misses != uint64(len(ns)) {
+					t.Errorf("two sweeps over the same sizes ran %d solves, want %d", s.Misses, len(ns))
+				}
+			}
+		})
 	}
 }
 
 func TestCachedCompareJoinsErrors(t *testing.T) {
-	cs := NewCachedSolver(0)
+	ctx := context.Background()
 	w := AppendixA(Sharing5)
-	good, err := cs.Compare([]Protocol{WriteOnce(), Illinois()}, w, 8)
-	if err != nil || len(good) != 2 {
-		t.Fatalf("Compare: %v, %v", good, err)
-	}
-	_, err = cs.Compare([]Protocol{WriteOnce(), WithMods(9)}, w, 8)
-	if !errors.Is(err, ErrInvalidInput) {
-		t.Fatalf("Compare with invalid protocol: %v", err)
+	for _, c := range solverCases() {
+		t.Run(c.name, func(t *testing.T) {
+			good, err := Compare(ctx, c.s, []Protocol{WriteOnce(), Illinois()}, w, 8)
+			if err != nil || len(good) != 2 {
+				t.Fatalf("Compare: %v, %v", good, err)
+			}
+			_, err = Compare(ctx, c.s, []Protocol{WriteOnce(), WithMods(9)}, w, 8)
+			if !errors.Is(err, ErrInvalidInput) {
+				t.Fatalf("Compare with invalid protocol: %v", err)
+			}
+		})
 	}
 }
 

@@ -296,6 +296,7 @@ func RunCampaign(ctx context.Context, spec CampaignSpec) (res CampaignResult, er
 		}()
 	}
 
+	solver := orUncached(spec.Cache)
 	work := make(chan int)
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -305,7 +306,7 @@ func RunCampaign(ctx context.Context, spec CampaignSpec) (res CampaignResult, er
 				if ctx.Err() != nil || halted.Load() {
 					continue // drain; in-flight state is preserved by the journal
 				}
-				pr, perr := solveCampaignPoint(ctx, spec, breaker, idx)
+				pr, perr := solveCampaignPoint(ctx, spec, solver, breaker, idx)
 				if perr != nil {
 					fail(perr)
 					continue // aborted attempt: the point is not completed, resume will redo it
@@ -689,7 +690,7 @@ func resilienceStatesSorted(m map[string]resilience.BreakerState) []resilience.B
 // retry policy and the watchdog. A non-nil error means the attempt was
 // aborted by ctx (the point stays pending); a permanent failure is
 // reported inside the PointResult instead.
-func solveCampaignPoint(ctx context.Context, spec CampaignSpec, breaker *resilience.Breaker, idx int) (PointResult, error) {
+func solveCampaignPoint(ctx context.Context, spec CampaignSpec, solver Solver, breaker *resilience.Breaker, idx int) (PointResult, error) {
 	pt := spec.Points[idx]
 	budget := pt.Budget
 	var skipped []string
@@ -747,13 +748,9 @@ func solveCampaignPoint(ctx context.Context, spec CampaignSpec, breaker *resilie
 		// returns nil, where the done-channel receive inside Watchdog
 		// provides the happens-before edge for reading r.
 		var r BestResult
-		solve := SolveBest
-		if spec.Cache != nil {
-			solve = spec.Cache.SolveBest
-		}
 		werr := resilience.Watchdog(ctx, fmt.Sprintf("campaign point %d", idx), spec.PointTimeout,
 			func(ctx context.Context) error {
-				br, serr := solve(ctx, pt.Protocol, pt.Workload, pt.N, budget)
+				br, serr := solver.SolveBest(ctx, pt.Protocol, pt.Workload, pt.N, budget)
 				if serr != nil {
 					return serr
 				}

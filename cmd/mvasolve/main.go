@@ -80,7 +80,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	results, err := snoopmva.SweepContext(ctx, proto, w, ns)
+	results, err := snoopmva.Uncached{}.SweepContext(ctx, proto, w, ns)
 	if err != nil {
 		fatal(err)
 	}

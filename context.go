@@ -7,26 +7,20 @@ import (
 
 	"snoopmva/internal/cachesim"
 	"snoopmva/internal/exp"
-	"snoopmva/internal/gtpnmodel"
 	"snoopmva/internal/mva"
-	"snoopmva/internal/petri"
 )
 
-// This file holds the context-aware variants of the solver entry points.
-// Each threads ctx into the underlying engine's hot loop (the MVA fixed
-// point, the GTPN reachability BFS, the simulator cycle loop), which checks
-// it periodically and abandons the computation when it fires; the returned
-// error then satisfies errors.Is(err, ErrCanceled). Every variant also
-// recovers internal panics into *PanicError and maps errors onto the public
-// taxonomy (see errors.go).
+// This file holds the context-aware solver entry points, the Uncached MVA
+// bodies among them. Each threads ctx into the underlying engine's hot
+// loop (the MVA fixed point, the GTPN reachability BFS, the simulator
+// cycle loop), which checks it periodically and abandons the computation
+// when it fires; the returned error then satisfies errors.Is(err,
+// ErrCanceled). Every entry point also recovers internal panics into
+// *PanicError and maps errors onto the public taxonomy (see errors.go).
 
-// SolveContext is Solve with cancellation.
-func SolveContext(ctx context.Context, p Protocol, w Workload, n int) (Result, error) {
-	return SolveWithContext(ctx, p, w, Timing{}, n, Options{})
-}
-
-// SolveWithContext is SolveWith with cancellation.
-func SolveWithContext(ctx context.Context, p Protocol, w Workload, t Timing, n int, opts Options) (res Result, err error) {
+// SolveWithContext runs the MVA model with explicit timing and options,
+// cold-started.
+func (Uncached) SolveWithContext(ctx context.Context, p Protocol, w Workload, t Timing, n int, opts Options) (res Result, err error) {
 	defer guard(&err)
 	m, err := model(p, w, t)
 	if err != nil {
@@ -54,18 +48,18 @@ func fromMVA(r mva.Result) Result {
 	}
 }
 
-// SweepContext is Sweep with cancellation: the sweep stops at the first
-// size whose solve fails or is canceled.
+// SweepContext solves the MVA model for each system size in ns; the
+// sweep stops at the first size whose solve fails or is canceled.
 //
 // The sweep is warm-started: each size's fixed-point iteration is seeded
 // from the previous size's converged state (adjacent sizes have nearby
 // solutions, so the iteration count drops sharply across a N=1..100
 // curve). Every point still converges to the same tolerance as a cold
 // solve — warm starting changes the iteration trajectory, not the fixed
-// point — so results agree with per-size Solve calls to within the solver
+// point — so results agree with per-size cold solves to within the solver
 // tolerance (the property suite enforces this; cmd/bench quantifies the
 // iteration savings).
-func SweepContext(ctx context.Context, p Protocol, w Workload, ns []int) (out []Result, err error) {
+func (Uncached) SweepContext(ctx context.Context, p Protocol, w Workload, ns []int) (out []Result, err error) {
 	defer guard(&err)
 	m, merr := model(p, w, Timing{})
 	if merr != nil {
@@ -89,22 +83,7 @@ func SweepContext(ctx context.Context, p Protocol, w Workload, ns []int) (out []
 // analysis checks ctx every ~1k expanded states.
 func SolveDetailedContext(ctx context.Context, p Protocol, w Workload, n int) (res DetailedResult, err error) {
 	defer guard(&err)
-	if err := p.validate(); err != nil {
-		return DetailedResult{}, err
-	}
-	g, err := gtpnmodel.SolveContext(ctx, gtpnmodel.Config{
-		Workload:         w.internal(),
-		Mods:             p.inner.Mods,
-		RawParams:        w.FixedParams,
-		WriteThroughBase: p.inner.WriteThroughBase,
-		N:                n,
-	}, petri.Options{})
-	if err != nil {
-		return DetailedResult{}, err
-	}
-	return DetailedResult{
-		N: g.N, Speedup: g.Speedup, R: g.R, BusUtilization: g.UBus, States: g.States,
-	}, nil
+	return solveDetailedBudgeted(ctx, p, w, n, 0)
 }
 
 // SimulateContext is Simulate with cancellation: the cycle loop checks ctx

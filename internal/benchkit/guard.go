@@ -123,8 +123,8 @@ func compareAllocs(baseline, candidate *Report, b Budgets) []Violation {
 	check("allocs.cache_hit", baseline.Allocs.CacheHit, candidate.Allocs.CacheHit)
 	check("allocs.key_encode", baseline.Allocs.KeyEncode, candidate.Allocs.KeyEncode)
 	// The batched series exists only in baselines generated since the
-	// SolveMany API; skip it for older ones rather than gating against a
-	// phantom zero. Losing the series from the candidate is a violation,
+	// batched solve API; skip it for older ones rather than gating
+	// against a phantom zero. Losing the series from the candidate is a violation,
 	// same as losing the whole section.
 	if baseline.Allocs.SolveBatch != nil {
 		if candidate.Allocs.SolveBatch == nil {

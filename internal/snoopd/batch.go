@@ -46,15 +46,15 @@ type BatchRecord struct {
 }
 
 // batchArms counts and names an item's request arms.
-func (it *BatchItem) arms() (n int, kind string) {
+func (it *BatchItem) arms() (n int, kind requestKind) {
 	if it.Solve != nil {
-		n, kind = n+1, "solve"
+		n, kind = n+1, kindSolve
 	}
 	if it.SolveBest != nil {
-		n, kind = n+1, "solvebest"
+		n, kind = n+1, kindSolveBest
 	}
 	if it.Sweep != nil {
-		n, kind = n+1, "sweep"
+		n, kind = n+1, kindSweep
 	}
 	return n, kind
 }
@@ -164,7 +164,7 @@ func (s *Server) batchSolves(ctx context.Context, clientID string, items []*Batc
 		if ctx.Err() != nil {
 			break // client gone: stop admitting new points
 		}
-		release, err := s.admitPoint(ctx, clientID, it.Solve.TimeoutMS, 1)
+		release, err := s.admitPoint(ctx, clientID, it.Solve.TimeoutMS, kindSolve)
 		if err != nil {
 			emit(&BatchRecord{Seq: it.Seq, Error: errorResponseFor(err)})
 			continue
@@ -197,23 +197,22 @@ func (s *Server) batchPoint(ctx context.Context, clientID string, it *BatchItem)
 	rec := &BatchRecord{Seq: it.Seq}
 	_, kind := it.arms()
 	var timeoutMS int64
-	scale := 1
 	switch kind {
-	case "solvebest":
-		timeoutMS, scale = it.SolveBest.TimeoutMS, 4
-	case "sweep":
-		timeoutMS, scale = it.Sweep.TimeoutMS, 8
+	case kindSolveBest:
+		timeoutMS = it.SolveBest.TimeoutMS
+	case kindSweep:
+		timeoutMS = it.Sweep.TimeoutMS
 	default:
 		timeoutMS = it.Solve.TimeoutMS
 	}
-	release, err := s.admitPoint(ctx, clientID, timeoutMS, scale)
+	release, err := s.admitPoint(ctx, clientID, timeoutMS, kind)
 	if err != nil {
 		rec.Error = errorResponseFor(err)
 		return rec
 	}
 	defer release()
 	switch kind {
-	case "solvebest":
+	case kindSolveBest:
 		best, err := s.solveBestCore(ctx, it.SolveBest)
 		if err != nil {
 			rec.Error = errorResponseFor(err)
@@ -221,7 +220,7 @@ func (s *Server) batchPoint(ctx context.Context, clientID string, it *BatchItem)
 		}
 		resp := toSolveBestResponse(best)
 		rec.SolveBest = &resp
-	case "sweep":
+	case kindSweep:
 		results, err := s.sweepCore(ctx, it.Sweep)
 		if err != nil {
 			rec.Error = errorResponseFor(err)
@@ -248,8 +247,8 @@ func (s *Server) batchPoint(ctx context.Context, clientID string, it *BatchItem)
 // release when admission is off). The deadline hint comes from the
 // point's own timeout so the queue can shed points that would outlive
 // it, mirroring the DeadlineHeader convention of the single-request
-// endpoints; scale mirrors admitTargetScale.
-func (s *Server) admitPoint(ctx context.Context, clientID string, timeoutMS int64, scale int) (release func(), err error) {
+// endpoints; the latency target is scaled by admitTargetScale[kind].
+func (s *Server) admitPoint(ctx context.Context, clientID string, timeoutMS int64, kind requestKind) (release func(), err error) {
 	if s.adm == nil {
 		return func() {}, nil
 	}
@@ -263,7 +262,7 @@ func (s *Server) admitPoint(ctx context.Context, clientID string, timeoutMS int6
 		return nil, err
 	}
 	start := time.Now()
-	target := time.Duration(scale) * s.adm.Target()
+	target := admitTargetScale[kind] * s.adm.Target()
 	return func() { s.adm.ReleaseWith(time.Since(start), target) }, nil
 }
 

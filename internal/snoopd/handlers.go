@@ -1,7 +1,6 @@
 package snoopd
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -315,13 +314,6 @@ func decode(r *http.Request, v any) error {
 	return nil
 }
 
-// requestContext derives the solve context from the request: the client
-// disconnect cancellation from r.Context(), plus the requested (or
-// default) deadline, capped by cfg.MaxTimeout.
-func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc, error) {
-	return s.coreContext(r.Context(), timeoutMS)
-}
-
 // writeJSON writes v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -511,18 +503,13 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err.Error())
 		return
 	}
-	ctx, cancel, err := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel, err := s.coreContext(r.Context(), req.TimeoutMS)
 	if err != nil {
 		badRequest(w, err.Error())
 		return
 	}
 	defer cancel()
-	var results []snoopmva.Result
-	if s.cfg.Cache != nil {
-		results, err = s.cfg.Cache.CompareContext(ctx, ps, wl, req.N)
-	} else {
-		results, err = snoopmva.CompareParallelContext(ctx, ps, wl, req.N)
-	}
+	results, err := snoopmva.Compare(ctx, s.solver, ps, wl, req.N)
 	if err != nil {
 		writeSolveError(w, err)
 		return

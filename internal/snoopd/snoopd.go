@@ -41,7 +41,7 @@ type Config struct {
 	Registry *obs.Registry
 	// Cache, when non-nil, serves every endpoint through the shared
 	// CachedSolver (its counters are bridged into Registry under
-	// cache="snoopd"). Nil serves the uncached package-level solvers.
+	// cache="snoopd"). Nil serves snoopmva.Uncached.
 	Cache *snoopmva.CachedSolver
 	// DefaultTimeout is applied to requests that carry no timeout_ms.
 	// Zero means no server-imposed deadline.
@@ -60,6 +60,7 @@ type Config struct {
 // Server is the snoopd HTTP handler. Construct with New.
 type Server struct {
 	cfg      Config
+	solver   snoopmva.Solver // serves every solve: cfg.Cache when set, else Uncached
 	reg      *obs.Registry
 	mux      *http.ServeMux
 	adm      *admission.Controller
@@ -90,14 +91,16 @@ func New(cfg Config) *Server {
 		inflight: reg.Gauge("snoopmva_http_inflight_requests", "Requests currently being served."),
 		latency:  map[string]*obs.Histogram{},
 	}
+	s.solver = snoopmva.Uncached{}
 	if cfg.Cache != nil {
+		s.solver = cfg.Cache
 		cfg.Cache.RegisterMetrics(reg, "snoopd")
 	}
 
-	s.route("POST /v1/solve", s.admitted("POST /v1/solve", s.handleSolve))
-	s.route("POST /v1/solvebest", s.admitted("POST /v1/solvebest", s.handleSolveBest))
-	s.route("POST /v1/sweep", s.admitted("POST /v1/sweep", s.handleSweep))
-	s.route("POST /v1/compare", s.admitted("POST /v1/compare", s.handleCompare))
+	s.route("POST /v1/solve", s.admitted(kindSolve, s.handleSolve))
+	s.route("POST /v1/solvebest", s.admitted(kindSolveBest, s.handleSolveBest))
+	s.route("POST /v1/sweep", s.admitted(kindSweep, s.handleSweep))
+	s.route("POST /v1/compare", s.admitted(kindCompare, s.handleCompare))
 	// Batch admits per point inside the handler, not per request.
 	s.route("POST /v1/batch", s.handleBatch)
 	s.route("GET /healthz", s.handleHealthz)
@@ -169,30 +172,37 @@ const (
 	DeadlineHeader = "X-Snoop-Deadline-Ms"
 )
 
+// requestKind is the admission class of a request, shared by the HTTP,
+// /v1/batch and wire paths.
+type requestKind uint8
+
+const (
+	kindSolve requestKind = iota
+	kindSolveBest
+	kindSweep
+	kindCompare
+)
+
 // admitTargetScale scales the admission controller's base latency
-// target per route: a sweep or compare runs many solves per request, so
-// holding them to the single-solve target would make every batch
-// request look like congestion.
-var admitTargetScale = map[string]int{
-	"POST /v1/solve":     1,
-	"POST /v1/solvebest": 4,
-	"POST /v1/sweep":     8,
-	"POST /v1/compare":   8,
+// target per request kind: a sweep or compare runs many solves per
+// request, so holding them to the single-solve target would make every
+// batch request look like congestion.
+var admitTargetScale = [...]time.Duration{
+	kindSolve:     1,
+	kindSolveBest: 4,
+	kindSweep:     8,
+	kindCompare:   8,
 }
 
 // admitted wraps a /v1 handler with the admission gate: shed requests
 // are answered immediately with 429/503 + Retry-After and never reach
 // the handler; admitted ones release their slot (with the observed
 // service latency) when the handler returns.
-func (s *Server) admitted(pattern string, h http.HandlerFunc) http.HandlerFunc {
+func (s *Server) admitted(kind requestKind, h http.HandlerFunc) http.HandlerFunc {
 	if s.adm == nil {
 		return h
 	}
-	scale := admitTargetScale[pattern]
-	if scale < 1 {
-		scale = 1
-	}
-	target := time.Duration(scale) * s.adm.Target()
+	target := admitTargetScale[kind] * s.adm.Target()
 	return func(w http.ResponseWriter, r *http.Request) {
 		if err := s.adm.Admit(r.Context(), r.Header.Get(ClientIDHeader), admissionDeadline(r)); err != nil {
 			writeShed(w, err)

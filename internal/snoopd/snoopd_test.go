@@ -184,6 +184,70 @@ func TestSweepSuccessAndParallel(t *testing.T) {
 	}
 }
 
+// TestSweepWarmUncachedColdCached pins the sequential sweep's contract
+// through both solvers: uncached it warm-starts (identical to
+// Uncached.SweepContext, iteration counts included), cached it answers
+// each size with its cold per-size solve.
+func TestSweepWarmUncachedColdCached(t *testing.T) {
+	p, w := snoopmva.Illinois(), snoopmva.AppendixA(snoopmva.Sharing5)
+	ns := []int{1, 2, 4, 8, 16}
+	warm, err := snoopmva.Uncached{}.SweepContext(context.Background(), p, w, ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := make([]snoopmva.Result, len(ns))
+	warmed := false
+	for i, n := range ns {
+		if cold[i], err = snoopmva.Solve(p, w, n); err != nil {
+			t.Fatal(err)
+		}
+		warmed = warmed || cold[i].Iterations != warm[i].Iterations
+	}
+	if !warmed {
+		t.Fatal("warm and cold sweeps iterate identically; the test cannot tell them apart")
+	}
+	body := `{"protocol": {"name": "Illinois"}, "workload": {"appendix_a": 5}, "ns": [1, 2, 4, 8, 16]}`
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"uncached", Config{}},
+		{"cached", Config{Cache: snoopmva.NewCachedSolver(64)}},
+	} {
+		w := post(t, newTestServer(t, c.cfg), "/v1/sweep", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d, body %s", c.name, w.Code, w.Body.String())
+		}
+		var resp SweepResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range ns {
+			want := toResultJSON(warm[i])
+			if c.cfg.Cache != nil {
+				want = toResultJSON(cold[i])
+			}
+			if resp.Results[i] != want {
+				t.Errorf("%s N=%d: got %+v, want %+v", c.name, n, resp.Results[i], want)
+			}
+		}
+	}
+}
+
+// TestCompareSameWithAndWithoutCache pins /v1/compare byte for byte
+// across the cached and uncached servers.
+func TestCompareSameWithAndWithoutCache(t *testing.T) {
+	body := `{"workload": {"appendix_a": 20}, "n": 12}`
+	plain := post(t, newTestServer(t, Config{}), "/v1/compare", body)
+	cached := post(t, newTestServer(t, Config{Cache: snoopmva.NewCachedSolver(64)}), "/v1/compare", body)
+	if plain.Code != http.StatusOK || cached.Code != http.StatusOK {
+		t.Fatalf("status = %d / %d", plain.Code, cached.Code)
+	}
+	if plain.Body.String() != cached.Body.String() {
+		t.Fatalf("compare differs with the cache on:\n  off: %s\n  on:  %s", plain.Body, cached.Body)
+	}
+}
+
 func TestSweepEmptyNsIs400(t *testing.T) {
 	s := newTestServer(t, Config{})
 	w := post(t, s, "/v1/sweep", `{"protocol": {"name": "Berkeley"}, "workload": {"appendix_a": 5}, "ns": []}`)

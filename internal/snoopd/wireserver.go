@@ -313,7 +313,7 @@ func (s *Server) wirePoint(ctx context.Context, wc *wireConn, clientID string, t
 			return
 		}
 		s.wireRequests[typ].Inc()
-		if !s.wireAdmit(ctx, wc, clientID, m.Seq, m.TimeoutMS, 1, func() {
+		if !s.wireAdmit(ctx, wc, clientID, m.Seq, m.TimeoutMS, kindSolve, func() {
 			res, err := s.solveCore(ctx, solveFromWire(&m))
 			if err != nil {
 				wc.writeError(m.Seq, err)
@@ -330,7 +330,7 @@ func (s *Server) wirePoint(ctx context.Context, wc *wireConn, clientID string, t
 			return
 		}
 		s.wireRequests[typ].Inc()
-		if !s.wireAdmit(ctx, wc, clientID, m.Seq, m.TimeoutMS, 4, func() {
+		if !s.wireAdmit(ctx, wc, clientID, m.Seq, m.TimeoutMS, kindSolveBest, func() {
 			best, err := s.solveBestCore(ctx, solveBestFromWire(&m))
 			if err != nil {
 				wc.writeError(m.Seq, err)
@@ -347,7 +347,7 @@ func (s *Server) wirePoint(ctx context.Context, wc *wireConn, clientID string, t
 			return
 		}
 		s.wireRequests[typ].Inc()
-		if !s.wireAdmit(ctx, wc, clientID, m.Seq, m.TimeoutMS, 8, func() {
+		if !s.wireAdmit(ctx, wc, clientID, m.Seq, m.TimeoutMS, kindSweep, func() {
 			results, err := s.sweepCore(ctx, sweepFromWire(&m))
 			if err != nil {
 				wc.writeError(m.Seq, err)
@@ -384,8 +384,8 @@ func (wc *wireConn) writeError(seq uint64, err error) {
 // run while holding the slot. A shed answers seq with a Backpressure
 // frame — same code taxonomy and retry_after_ms precision as the HTTP
 // path's 429/503 — and reports false.
-func (s *Server) wireAdmit(ctx context.Context, wc *wireConn, clientID string, seq uint64, timeoutMS int64, scale int, run func()) bool {
-	release, err := s.admitPoint(ctx, clientID, timeoutMS, scale)
+func (s *Server) wireAdmit(ctx context.Context, wc *wireConn, clientID string, seq uint64, timeoutMS int64, kind requestKind, run func()) bool {
+	release, err := s.admitPoint(ctx, clientID, timeoutMS, kind)
 	if err != nil {
 		var se *admission.ShedError
 		if errors.As(err, &se) {

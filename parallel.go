@@ -9,10 +9,12 @@ import (
 	"sync/atomic"
 )
 
-// SweepParallelContext solves the MVA for each system size in ns
-// concurrently (the solves are independent, microsecond-scale
-// computations — this matters for wide design-space scans from
-// interactive tools). Results are returned in input order.
+// SweepParallel solves the MVA for each system size in ns concurrently
+// through s (the solves are independent, microsecond-scale computations —
+// this matters for wide design-space scans from interactive tools). Every
+// size is solved cold, so through a *CachedSolver identical concurrent
+// sweeps coalesce per size and repeats are cache hits. Results are
+// returned in input order.
 //
 // The first failure stops the feeder from scheduling further sizes, but
 // sizes already in flight run to completion and *every* error is
@@ -20,18 +22,17 @@ import (
 // identified by its N), so errors.Is classification sees all of them.
 // Cancellation of ctx stops the sweep the same way and surfaces as
 // ErrCanceled.
-func SweepParallelContext(ctx context.Context, p Protocol, w Workload, ns []int) (out []Result, err error) {
+func SweepParallel(ctx context.Context, s Solver, p Protocol, w Workload, ns []int) (out []Result, err error) {
 	defer guard(&err)
 	return sweepParallel(ctx, ns, func(ctx context.Context, n int) (Result, error) {
-		return SolveContext(ctx, p, w, n)
+		return s.SolveWithContext(ctx, p, w, Timing{}, n, Options{})
 	})
 }
 
-// sweepParallel is the worker-pool core shared by SweepParallelContext and
-// CachedSolver.SweepParallelContext: it fans the sizes out over a bounded
-// pool of the given solve function, stops feeding on the first failure (or
-// cancellation) while letting in-flight sizes finish, and aggregates every
-// error.
+// sweepParallel is the worker-pool core of SweepParallel: it fans the
+// sizes out over a bounded pool of the given solve function, stops
+// feeding on the first failure (or cancellation) while letting in-flight
+// sizes finish, and aggregates every error.
 func sweepParallel(ctx context.Context, ns []int, solve func(ctx context.Context, n int) (Result, error)) ([]Result, error) {
 	results := make([]Result, len(ns))
 	errs := make([]error, len(ns))
@@ -105,42 +106,4 @@ func joinSweepErrors(ns []int, errs []error) error {
 		return nil
 	}
 	return errors.Join(joined...)
-}
-
-// SweepParallel is SweepParallelContext without cancellation.
-func SweepParallel(p Protocol, w Workload, ns []int) ([]Result, error) {
-	return SweepParallelContext(context.Background(), p, w, ns)
-}
-
-// CompareParallelContext solves several protocols concurrently at the
-// same workload and system size, returned in input order. All protocols
-// are attempted; the returned error joins every per-protocol failure.
-func CompareParallelContext(ctx context.Context, ps []Protocol, w Workload, n int) (out []Result, err error) {
-	defer guard(&err)
-	results := make([]Result, len(ps))
-	errs := make([]error, len(ps))
-	var wg sync.WaitGroup
-	for i := range ps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = SolveContext(ctx, ps[i], w, n)
-		}(i)
-	}
-	wg.Wait()
-	var joined []error
-	for i, perr := range errs {
-		if perr != nil {
-			joined = append(joined, fmt.Errorf("snoopmva: %v: %w", ps[i], perr))
-		}
-	}
-	if len(joined) > 0 {
-		return nil, errors.Join(joined...)
-	}
-	return results, nil
-}
-
-// CompareParallel is CompareParallelContext without cancellation.
-func CompareParallel(ps []Protocol, w Workload, n int) ([]Result, error) {
-	return CompareParallelContext(context.Background(), ps, w, n)
 }

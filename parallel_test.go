@@ -14,46 +14,59 @@ import (
 )
 
 func TestSweepParallelMatchesSequential(t *testing.T) {
-	// The sequential sweep warm-starts each size from the previous one
-	// while the parallel sweep solves cold, so the two agree to solver
-	// tolerance rather than bitwise (see SweepContext).
+	// The uncached sequential sweep warm-starts each size from the
+	// previous one while the parallel sweep solves cold, so the two agree
+	// to solver tolerance rather than bitwise (see Uncached.SweepContext).
+	ctx := context.Background()
 	w := AppendixA(Sharing5)
 	ns := []int{1, 2, 4, 8, 16, 32, 64, 100}
-	seq, err := Sweep(WriteOnce(), w, ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := SweepParallel(WriteOnce(), w, ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const tol = 1e-7
-	for i := range ns {
-		if seq[i].N != par[i].N ||
-			!stats.ApproxEq(seq[i].Speedup, par[i].Speedup, tol) ||
-			!stats.ApproxEq(seq[i].R, par[i].R, tol) ||
-			!stats.ApproxEq(seq[i].BusUtilization, par[i].BusUtilization, tol) ||
-			!stats.ApproxEq(seq[i].MemUtilization, par[i].MemUtilization, tol) ||
-			!stats.ApproxEq(seq[i].BusWait, par[i].BusWait, tol) {
-			t.Errorf("N=%d: parallel %+v != sequential %+v", ns[i], par[i], seq[i])
-		}
+	for _, c := range solverCases() {
+		t.Run(c.name, func(t *testing.T) {
+			seq, err := c.s.SweepContext(ctx, WriteOnce(), w, ns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := SweepParallel(ctx, c.s, WriteOnce(), w, ns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const tol = 1e-7
+			for i := range ns {
+				if seq[i].N != par[i].N ||
+					!stats.ApproxEq(seq[i].Speedup, par[i].Speedup, tol) ||
+					!stats.ApproxEq(seq[i].R, par[i].R, tol) ||
+					!stats.ApproxEq(seq[i].BusUtilization, par[i].BusUtilization, tol) ||
+					!stats.ApproxEq(seq[i].MemUtilization, par[i].MemUtilization, tol) ||
+					!stats.ApproxEq(seq[i].BusWait, par[i].BusWait, tol) {
+					t.Errorf("N=%d: parallel %+v != sequential %+v", ns[i], par[i], seq[i])
+				}
+			}
+		})
 	}
 }
 
 func TestSweepParallelPropagatesErrors(t *testing.T) {
-	if _, err := SweepParallel(WriteOnce(), AppendixA(Sharing5), []int{4, 0, 8}); err == nil {
-		t.Error("invalid N accepted")
-	}
-	empty, err := SweepParallel(WriteOnce(), AppendixA(Sharing5), nil)
-	if err != nil || len(empty) != 0 {
-		t.Errorf("empty sweep: %v, %v", empty, err)
+	ctx := context.Background()
+	for _, c := range solverCases() {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := SweepParallel(ctx, c.s, WriteOnce(), AppendixA(Sharing5), []int{4, 0, 8}); err == nil {
+				t.Error("invalid N accepted")
+			}
+			empty, err := SweepParallel(ctx, c.s, WriteOnce(), AppendixA(Sharing5), nil)
+			if err != nil || len(empty) != 0 {
+				t.Errorf("empty sweep: %v, %v", empty, err)
+			}
+		})
 	}
 }
 
 func TestSweepParallelStopsSchedulingAfterError(t *testing.T) {
-	// An invalid size as the very first element fails immediately (GOMAXPROCS
-	// workers may have dequeued a few more by then); the feeder must then stop
-	// scheduling, so almost all of the remaining sizes are never solved.
+	// The first GOMAXPROCS sizes are invalid and fail without iterating,
+	// one per worker, so whichever worker takes a valid size has already
+	// recorded its failure, and the feeder stops right after that hand-off.
+	// The outcome is independent of scheduling: at most one valid size is
+	// solved. Without the feeder short-circuit every valid size is solved
+	// (far more than 300 entries).
 	var entered atomic.Int64
 	restore := faultinject.Activate(&faultinject.Set{
 		MVAEnter: func(int) { entered.Add(1) },
@@ -61,16 +74,14 @@ func TestSweepParallelStopsSchedulingAfterError(t *testing.T) {
 	defer restore()
 
 	ns := make([]int, 1000)
-	ns[0] = 0 // invalid: fails without iterating
-	for i := 1; i < len(ns); i++ {
+	for i := runtime.GOMAXPROCS(0); i < len(ns); i++ {
 		ns[i] = 4
 	}
-	if _, err := SweepParallel(WriteOnce(), AppendixA(Sharing5), ns); err == nil {
+	if _, err := SweepParallel(context.Background(), Uncached{}, WriteOnce(), AppendixA(Sharing5), ns); err == nil {
 		t.Fatal("invalid N accepted")
 	}
 	// Each scheduled size costs up to 3 solve attempts (the damping
-	// ladder). Allow a generous in-flight window; without the feeder
-	// short-circuit all 1000 sizes are solved (>= 1000 entries).
+	// ladder).
 	if got := entered.Load(); got > 300 {
 		t.Errorf("%d MVA solve attempts after first error; feeder did not short-circuit", got)
 	}
@@ -109,15 +120,19 @@ func TestSweepParallelReportsConcurrentFailures(t *testing.T) {
 	// short-circuiting, each scheduled failure must surface in the joined
 	// error — at minimum the first, which is always scheduled.
 	ns := []int{0, -1, -2}
-	_, err := SweepParallel(WriteOnce(), AppendixA(Sharing5), ns)
-	if err == nil {
-		t.Fatal("invalid sizes accepted")
-	}
-	if !errors.Is(err, ErrInvalidInput) {
-		t.Fatalf("classification lost in aggregation: %v", err)
-	}
-	if !strings.Contains(err.Error(), "N=0") {
-		t.Errorf("sweep error does not identify N=0: %q", err.Error())
+	for _, c := range solverCases() {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := SweepParallel(context.Background(), c.s, WriteOnce(), AppendixA(Sharing5), ns)
+			if err == nil {
+				t.Fatal("invalid sizes accepted")
+			}
+			if !errors.Is(err, ErrInvalidInput) {
+				t.Fatalf("classification lost in aggregation: %v", err)
+			}
+			if !strings.Contains(err.Error(), "N=0") {
+				t.Errorf("sweep error does not identify N=0: %q", err.Error())
+			}
+		})
 	}
 }
 
@@ -137,7 +152,7 @@ func TestSweepParallelContextCancellation(t *testing.T) {
 	for i := range ns {
 		ns[i] = 4
 	}
-	_, err := SweepParallelContext(ctx, WriteOnce(), AppendixA(Sharing5), ns)
+	_, err := SweepParallel(ctx, Uncached{}, WriteOnce(), AppendixA(Sharing5), ns)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled sweep: err = %v, want ErrCanceled", err)
 	}
@@ -149,47 +164,56 @@ func TestSweepParallelContextCancellation(t *testing.T) {
 	}
 }
 
-func TestCompareParallelContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := CompareParallelContext(ctx, Protocols(), AppendixA(Sharing5), 2000)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("pre-canceled compare: err = %v, want ErrCanceled", err)
-	}
-}
-
+// TestCompareParallelReportsEveryFailure keeps its name from when Compare
+// had a parallel twin; it pins that Compare, through every Solver,
+// attempts every protocol and joins every failure.
 func TestCompareParallelReportsEveryFailure(t *testing.T) {
 	ps := []Protocol{WithMods(9), Illinois(), WithMods(8)}
-	_, err := CompareParallel(ps, AppendixA(Sharing5), 4)
-	if err == nil {
-		t.Fatal("invalid protocols accepted")
-	}
-	if !errors.Is(err, ErrInvalidInput) {
-		t.Fatalf("classification lost: %v", err)
-	}
-	if n := strings.Count(err.Error(), "invalid modification"); n != 2 {
-		t.Errorf("joined error mentions %d of 2 failures: %q", n, err.Error())
+	for _, c := range solverCases() {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Compare(context.Background(), c.s, ps, AppendixA(Sharing5), 4)
+			if err == nil {
+				t.Fatal("invalid protocols accepted")
+			}
+			if !errors.Is(err, ErrInvalidInput) {
+				t.Fatalf("classification lost: %v", err)
+			}
+			if n := strings.Count(err.Error(), "invalid modification"); n != 2 {
+				t.Errorf("joined error mentions %d of 2 failures: %q", n, err.Error())
+			}
+		})
 	}
 }
 
+// TestCompareParallelMatchesSequential keeps its name from when Compare
+// had a parallel twin; it pins that Compare, through every Solver, returns
+// exactly the results of solving each protocol one at a time.
 func TestCompareParallelMatchesSequential(t *testing.T) {
 	w := AppendixA(Sharing20)
 	ps := Protocols()
-	seq, err := Compare(ps, w, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := CompareParallel(ps, w, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ps {
-		if seq[i] != par[i] {
-			t.Errorf("%v: parallel %+v != sequential %+v", ps[i], par[i], seq[i])
+	seq := make([]Result, len(ps))
+	for i, p := range ps {
+		r, err := Solve(p, w, 10)
+		if err != nil {
+			t.Fatal(err)
 		}
+		seq[i] = r
 	}
-	if _, err := CompareParallel([]Protocol{WithMods(9)}, w, 4); err == nil {
-		t.Error("invalid protocol accepted")
+	for _, c := range solverCases() {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := Compare(context.Background(), c.s, ps, w, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ps {
+				if got[i] != seq[i] {
+					t.Errorf("%v: Compare %+v != sequential %+v", ps[i], got[i], seq[i])
+				}
+			}
+			if _, err := Compare(context.Background(), c.s, []Protocol{WithMods(9)}, w, 4); err == nil {
+				t.Error("invalid protocol accepted")
+			}
+		})
 	}
 }
 

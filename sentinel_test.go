@@ -20,7 +20,8 @@ func TestSentinelsAcrossPublicEntryPoints(t *testing.T) {
 	bad := good
 	bad.HPrivate = 2 // probability outside [0,1]
 
-	canceled, cancel := context.WithCancel(context.Background())
+	bg := context.Background()
+	canceled, cancel := context.WithCancel(bg)
 	cancel()
 
 	// poison forces the MVA fixed point to produce a NaN iterate on its
@@ -60,11 +61,14 @@ func TestSentinelsAcrossPublicEntryPoints(t *testing.T) {
 			}, ErrInvalidInput},
 		{"SolveWith diverged", poison,
 			func() error { _, err := SolveWith(WriteOnce(), good, DefaultTiming(), 4, Options{}); return err }, ErrDiverged},
-		{"SolveContext canceled", stall,
-			func() error { _, err := SolveContext(canceled, WriteOnce(), good, 4); return err }, ErrCanceled},
 		{"SolveWithContext canceled", stall,
 			func() error {
-				_, err := SolveWithContext(canceled, WriteOnce(), good, DefaultTiming(), 4, Options{})
+				_, err := Uncached{}.SolveWithContext(canceled, WriteOnce(), good, DefaultTiming(), 4, Options{})
+				return err
+			}, ErrCanceled},
+		{"CachedSolver SolveWithContext canceled", stall,
+			func() error {
+				_, err := NewCachedSolver(0).SolveWithContext(canceled, WriteOnce(), good, Timing{}, 4, Options{})
 				return err
 			}, ErrCanceled},
 		{"Sweep invalid size", nil,
@@ -72,17 +76,23 @@ func TestSentinelsAcrossPublicEntryPoints(t *testing.T) {
 		{"Sweep diverged", poison,
 			func() error { _, err := Sweep(WriteOnce(), good, []int{2, 4}); return err }, ErrDiverged},
 		{"SweepContext canceled", stall,
-			func() error { _, err := SweepContext(canceled, WriteOnce(), good, []int{2, 4}); return err }, ErrCanceled},
+			func() error { _, err := Uncached{}.SweepContext(canceled, WriteOnce(), good, []int{2, 4}); return err }, ErrCanceled},
 		{"SweepParallel invalid size", nil,
-			func() error { _, err := SweepParallel(WriteOnce(), good, []int{0}); return err }, ErrInvalidInput},
+			func() error { _, err := SweepParallel(bg, Uncached{}, WriteOnce(), good, []int{0}); return err }, ErrInvalidInput},
 		{"SweepParallel diverged", poison,
-			func() error { _, err := SweepParallel(WriteOnce(), good, []int{2, 4}); return err }, ErrDiverged},
+			func() error { _, err := SweepParallel(bg, Uncached{}, WriteOnce(), good, []int{2, 4}); return err }, ErrDiverged},
 		{"Compare invalid workload", nil,
-			func() error { _, err := Compare([]Protocol{WriteOnce()}, bad, 4); return err }, ErrInvalidInput},
-		{"CompareParallel invalid workload", nil,
-			func() error { _, err := CompareParallel([]Protocol{WriteOnce()}, bad, 4); return err }, ErrInvalidInput},
-		{"CompareParallel diverged", poison,
-			func() error { _, err := CompareParallel([]Protocol{WriteOnce(), Illinois()}, good, 4); return err }, ErrDiverged},
+			func() error { _, err := Compare(bg, Uncached{}, []Protocol{WriteOnce()}, bad, 4); return err }, ErrInvalidInput},
+		{"Compare cached invalid workload", nil,
+			func() error {
+				_, err := Compare(bg, NewCachedSolver(0), []Protocol{WriteOnce()}, bad, 4)
+				return err
+			}, ErrInvalidInput},
+		{"Compare diverged", poison,
+			func() error {
+				_, err := Compare(bg, Uncached{}, []Protocol{WriteOnce(), Illinois()}, good, 4)
+				return err
+			}, ErrDiverged},
 		{"SolveDetailed invalid size", nil,
 			func() error { _, err := SolveDetailed(WriteOnce(), good, 0); return err }, ErrInvalidInput},
 		{"SolveDetailedContext canceled", nil,

@@ -72,7 +72,13 @@ type BestResult struct {
 // is recorded in FallbackReason; cancellation of ctx aborts the whole
 // ladder with ErrCanceled instead of degrading, and invalid input fails
 // immediately with ErrInvalidInput since no model could accept it.
-func SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (best BestResult, err error) {
+func SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (BestResult, error) {
+	return Uncached{}.SolveBest(ctx, p, w, n, b)
+}
+
+// SolveBest runs the degradation ladder uncached (see the package-level
+// SolveBest).
+func (Uncached) SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (best BestResult, err error) {
 	defer guard(&err)
 	defer func() {
 		if err == nil {
@@ -142,7 +148,7 @@ func SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (be
 		}
 	}
 
-	m, merr := SolveContext(ctx, p, w, n)
+	m, merr := Uncached{}.SolveWithContext(ctx, p, w, Timing{}, n, Options{})
 	if merr != nil {
 		if len(reasons) > 0 {
 			return BestResult{}, fmt.Errorf("snoopmva: SolveBest exhausted all models (%s): mva: %w",
@@ -166,8 +172,8 @@ func boundedCtx(ctx context.Context, timeout time.Duration) (context.Context, co
 	return context.WithCancel(ctx)
 }
 
-// solveDetailedBudgeted is SolveDetailedContext with an explicit state
-// budget (the public entry point uses the engine default).
+// solveDetailedBudgeted runs the GTPN model with an explicit state budget
+// (0 means the engine default, which SolveDetailedContext uses).
 func solveDetailedBudgeted(ctx context.Context, p Protocol, w Workload, n, maxStates int) (DetailedResult, error) {
 	if err := p.validate(); err != nil {
 		return DetailedResult{}, err
