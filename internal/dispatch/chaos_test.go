@@ -30,11 +30,13 @@ func TestChaosWorkerDeathMidGrid(t *testing.T) {
 	// what the coordinator sees of a SIGKILL — once it has served a few
 	// solves.
 	var served atomic.Int32
+	thirdServed := make(chan struct{})
 	var victim *httptest.Server
 	inner := snoopd.New(snoopd.Config{Registry: obs.NewRegistry()})
 	victim = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		inner.ServeHTTP(w, r)
 		if r.URL.Path == routeSolveBest && served.Add(1) == 3 {
+			close(thirdServed)
 			go func() {
 				victim.CloseClientConnections()
 				victim.Close()
@@ -42,7 +44,27 @@ func TestChaosWorkerDeathMidGrid(t *testing.T) {
 		}
 	}))
 	t.Cleanup(victim.Close)
-	ts := transportsFor(victim, newWorker(t), newWorker(t))
+	// The healthy workers hold their solves until the victim has served
+	// its third (bounded, so a victim that never gets work fails the
+	// served >= 3 check below instead of hanging): otherwise they can take
+	// almost the whole grid before the victim serves three, and the kill
+	// never fires.
+	healthy := func() *httptest.Server {
+		h := snoopd.New(snoopd.Config{Registry: obs.NewRegistry()})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == routeSolveBest {
+				select {
+				case <-thirdServed:
+				case <-r.Context().Done():
+				case <-time.After(2 * time.Second):
+				}
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	ts := transportsFor(victim, healthy(), healthy())
 
 	cfg := quickCfg(ts)
 	cfg.QuarantineAfter = 2

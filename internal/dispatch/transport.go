@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -151,49 +152,75 @@ func NewHTTPTransport(base string, client *http.Client) *HTTPTransport {
 // Addr implements Transport.
 func (t *HTTPTransport) Addr() string { return t.base }
 
-// fault consults the process-global HTTPFault hook, sleeping out an
-// injected link delay (interruptibly) and converting an injected drop
-// into a *TransportError, exactly as a real slow or partitioned link
-// would surface.
-func (t *HTTPTransport) fault(ctx context.Context, route string) error {
+// linkFault consults the process-global HTTPFault hook for the link
+// (addr, route), sleeping out an injected delay (interruptibly) and
+// returning an injected drop, exactly as a real slow or partitioned link
+// would surface. Both transports call it; the caller wraps a non-nil
+// result in a *TransportError.
+func linkFault(ctx context.Context, addr, route string) error {
 	h := faultinject.Hooks()
 	if h == nil || h.HTTPFault == nil {
 		return nil
 	}
-	delay, ferr := h.HTTPFault(t.base, route)
+	delay, err := h.HTTPFault(addr, route)
 	if delay > 0 {
 		timer := time.NewTimer(delay)
 		defer timer.Stop()
 		select {
 		case <-ctx.Done():
-			return &TransportError{Addr: t.base, Route: route, Err: ctx.Err()}
+			return ctx.Err()
 		case <-timer.C:
 		}
 	}
-	if ferr != nil {
-		return &TransportError{Addr: t.base, Route: route, Err: ferr}
+	return err
+}
+
+// answerError classifies a worker's non-success answer — an error code
+// and message, and whether it was an admission shed with its retry hint —
+// onto the dispatch taxonomy, identically for both transports: a shed is
+// a *BackpressureError whose chain holds a *resilience.RetryAfterError
+// (so generic Retry loops honor the hint) and which never feeds the
+// breaker; a code naming a permanent solver failure is an authoritative
+// *RemoteError with the worker's text verbatim; anything else
+// (deadline_exceeded, internal, unknown) is a *TransportError and the
+// point stays unresolved.
+func answerError(addr, route, code, msg string, shed bool, retryAfter time.Duration) error {
+	detail := "(" + code + ")"
+	if msg != "" {
+		detail += ": " + msg
 	}
-	return nil
+	if shed {
+		return &BackpressureError{
+			Addr: addr, Route: route, Code: code, RetryAfter: retryAfter,
+			Err: &resilience.RetryAfterError{After: retryAfter, Err: errors.New("backpressure " + detail)},
+		}
+	}
+	if sentinel, ok := permanentSentinel(code); ok {
+		return &RemoteError{Code: code, Msg: msg, sentinel: sentinel}
+	}
+	return &TransportError{Addr: addr, Route: route, Err: errors.New("worker error " + detail)}
 }
 
 // SolveBest implements Transport over POST /v1/solvebest.
 func (t *HTTPTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
-	req := snoopd.SolveBestRequest{
+	fail := func(err error) (snoopmva.BestResult, error) {
+		return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest, Err: err}
+	}
+	body, err := json.Marshal(snoopd.SolveBestRequest{
 		Protocol: snoopd.SpecForProtocol(p),
 		Workload: snoopd.SpecForWorkload(w),
 		N:        n,
 		Budget:   snoopd.SpecForBudget(b),
-	}
-	body, err := json.Marshal(req)
+	})
 	if err != nil {
-		return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest, Err: err}
+		return fail(err)
 	}
-	if err := t.fault(ctx, routeSolveBest); err != nil {
-		return snoopmva.BestResult{}, err
+	if err := linkFault(ctx, t.base, routeSolveBest); err != nil {
+		return fail(err)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, t.base+routeSolveBest, bytes.NewReader(body))
 	if err != nil {
-		return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest, Err: err}
+		return fail(err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	if t.ClientID != "" {
@@ -209,15 +236,13 @@ func (t *HTTPTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w sn
 	}
 	resp, err := t.client.Do(hreq)
 	if err != nil {
-		return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest, Err: err}
+		return fail(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		var ok snoopd.SolveBestResponse
-		dec := json.NewDecoder(resp.Body)
-		if derr := dec.Decode(&ok); derr != nil {
-			return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest,
-				Err: fmt.Errorf("decoding 200 response: %w", derr)}
+		if derr := json.NewDecoder(resp.Body).Decode(&ok); derr != nil {
+			return fail(fmt.Errorf("decoding 200 response: %w", derr))
 		}
 		return snoopmva.BestResult{
 			Method:         snoopmva.Method(ok.Method),
@@ -231,55 +256,39 @@ func (t *HTTPTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w sn
 	}
 	raw, rerr := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 	if rerr != nil {
-		return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest,
-			Err: fmt.Errorf("http %d: reading error body: %w", resp.StatusCode, rerr)}
+		return fail(fmt.Errorf("http %d: reading error body: %w", resp.StatusCode, rerr))
 	}
 	var we snoopd.ErrorResponse
 	derr := json.Unmarshal(raw, &we)
 	// 429 and 503 are backpressure whatever the body looks like: an
 	// admission shed, a draining worker, or a fronting proxy refusing —
-	// in every case the worker set is congested, not broken.
+	// in every case the worker set is congested, not broken. The delay
+	// hint prefers the body's retry_after_ms (millisecond precision) over
+	// the Retry-After header (whole seconds); absent both it is zero and
+	// the coordinator applies its default.
 	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-		return snoopmva.BestResult{}, t.backpressure(resp, routeSolveBest, we)
+		after := time.Duration(we.RetryAfterMS) * time.Millisecond
+		if after == 0 {
+			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+				after = time.Duration(secs) * time.Second
+			}
+		}
+		code := we.Code
+		if code == "" {
+			code = fmt.Sprintf("http_%d", resp.StatusCode)
+		}
+		return snoopmva.BestResult{}, answerError(t.base, routeSolveBest, code, we.Error, true, after)
 	}
 	if derr != nil || we.Error == "" {
-		return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest,
-			Err: fmt.Errorf("http %d: %s", resp.StatusCode, truncate(raw, 200))}
+		return fail(fmt.Errorf("http %d: %s", resp.StatusCode, truncate(raw, 200)))
 	}
-	if sentinel, ok := permanentSentinel(we.Code); ok {
-		return snoopmva.BestResult{}, &RemoteError{Code: we.Code, Msg: we.Error, sentinel: sentinel}
-	}
-	return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest,
-		Err: fmt.Errorf("http %d (%s): %s", resp.StatusCode, we.Code, we.Error)}
-}
-
-// backpressure builds the *BackpressureError for a 429/503 answer. The
-// delay hint prefers the body's retry_after_ms (millisecond precision)
-// over the Retry-After header (whole seconds); absent both it is zero
-// and the coordinator applies its default. The inner error wraps
-// *resilience.RetryAfterError so generic Retry loops honor the hint.
-func (t *HTTPTransport) backpressure(resp *http.Response, route string, we snoopd.ErrorResponse) error {
-	after := time.Duration(we.RetryAfterMS) * time.Millisecond
-	if after == 0 {
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			after = time.Duration(secs) * time.Second
-		}
-	}
-	code := we.Code
-	if code == "" {
-		code = fmt.Sprintf("http_%d", resp.StatusCode)
-	}
-	return &BackpressureError{
-		Addr: t.base, Route: route, Code: code, RetryAfter: after,
-		Err: &resilience.RetryAfterError{After: after,
-			Err: fmt.Errorf("http %d (%s): %s", resp.StatusCode, code, we.Error)},
-	}
+	return snoopmva.BestResult{}, answerError(t.base, routeSolveBest, we.Code, we.Error, false, 0)
 }
 
 // Healthz implements Transport over GET /healthz.
 func (t *HTTPTransport) Healthz(ctx context.Context) error {
-	if err := t.fault(ctx, routeHealthz); err != nil {
-		return err
+	if err := linkFault(ctx, t.base, routeHealthz); err != nil {
+		return &TransportError{Addr: t.base, Route: routeHealthz, Err: err}
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, t.base+routeHealthz, nil)
 	if err != nil {

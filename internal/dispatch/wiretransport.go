@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"snoopmva"
-	"snoopmva/internal/faultinject"
-	"snoopmva/internal/resilience"
 	"snoopmva/internal/snoopd"
 	"snoopmva/internal/wire"
 )
@@ -60,37 +58,13 @@ func (t *WireTransport) Addr() string { return "wire://" + t.addr }
 // Close releases the persistent connection.
 func (t *WireTransport) Close() error { return t.client.Close() }
 
-// fault consults the process-global HTTPFault hook under the "wire"
-// route, so chaos tests partition binary links with the same lever as
-// JSON ones.
-func (t *WireTransport) fault(ctx context.Context) error {
-	h := faultinject.Hooks()
-	if h == nil || h.HTTPFault == nil {
-		return nil
-	}
-	delay, ferr := h.HTTPFault(t.addr, routeWire)
-	if delay > 0 {
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		select {
-		case <-ctx.Done():
-			return &TransportError{Addr: t.Addr(), Route: routeWire, Err: ctx.Err()}
-		case <-timer.C:
-		}
-	}
-	if ferr != nil {
-		return &TransportError{Addr: t.Addr(), Route: routeWire, Err: ferr}
-	}
-	return nil
-}
-
 // SolveBest implements Transport over a SolveBestReq frame.
 func (t *WireTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
 	if t.fellBack.Load() {
 		return t.fallback.SolveBest(ctx, p, w, n, b)
 	}
-	if err := t.fault(ctx); err != nil {
-		return snoopmva.BestResult{}, err
+	if err := linkFault(ctx, t.addr, routeWire); err != nil {
+		return snoopmva.BestResult{}, &TransportError{Addr: t.Addr(), Route: routeWire, Err: err}
 	}
 	req := &wire.SolveBestRequest{
 		Protocol: snoopd.WireProtocolSpec(p),
@@ -112,7 +86,21 @@ func (t *WireTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w sn
 			t.fellBack.Store(true)
 			return t.fallback.SolveBest(ctx, p, w, n, b)
 		}
-		return snoopmva.BestResult{}, t.mapError(err)
+		// Error and Backpressure frames go through the same answerError
+		// classifier as the HTTP transport's error bodies; anything else —
+		// a connection failure the client's resend could not hide, a
+		// protocol error — is a *TransportError.
+		var reqErr *wire.RequestError
+		var shed *wire.BackpressureError
+		switch {
+		case errors.As(err, &reqErr):
+			err = answerError(t.Addr(), routeWire, reqErr.Code, reqErr.Msg, false, 0)
+		case errors.As(err, &shed):
+			err = answerError(t.Addr(), routeWire, shed.Code, "", true, shed.RetryAfter)
+		default:
+			err = &TransportError{Addr: t.Addr(), Route: routeWire, Err: err}
+		}
+		return snoopmva.BestResult{}, err
 	}
 	return snoopmva.BestResult{
 		Method:         snoopmva.Method(resp.Method),
@@ -125,42 +113,14 @@ func (t *WireTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w sn
 	}, nil
 }
 
-// mapError converts a wire client failure onto the dispatch error
-// taxonomy: an Error frame whose code names a permanent solver failure
-// becomes an authoritative *RemoteError (same sentinel chain as the JSON
-// path), a Backpressure frame becomes a *BackpressureError that never
-// feeds the breaker, and everything else — connection failures the
-// client's resend could not hide, protocol errors, deadline/internal
-// codes — is a *TransportError and the point stays unresolved.
-func (t *WireTransport) mapError(err error) error {
-	var reqErr *wire.RequestError
-	var shed *wire.BackpressureError
-	switch {
-	case errors.As(err, &reqErr):
-		if sentinel, ok := permanentSentinel(reqErr.Code); ok {
-			return &RemoteError{Code: reqErr.Code, Msg: reqErr.Msg, sentinel: sentinel}
-		}
-		return &TransportError{Addr: t.Addr(), Route: routeWire,
-			Err: fmt.Errorf("server error (%s): %s", reqErr.Code, reqErr.Msg)}
-	case errors.As(err, &shed):
-		return &BackpressureError{
-			Addr: t.Addr(), Route: routeWire, Code: shed.Code, RetryAfter: shed.RetryAfter,
-			Err: &resilience.RetryAfterError{After: shed.RetryAfter,
-				Err: fmt.Errorf("backpressure (%s)", shed.Code)},
-		}
-	default:
-		return &TransportError{Addr: t.Addr(), Route: routeWire, Err: err}
-	}
-}
-
 // Healthz implements Transport over Ping/Pong; a draining server
 // reports unhealthy, like /healthz answering 503.
 func (t *WireTransport) Healthz(ctx context.Context) error {
 	if t.fellBack.Load() {
 		return t.fallback.Healthz(ctx)
 	}
-	if err := t.fault(ctx); err != nil {
-		return err
+	if err := linkFault(ctx, t.addr, routeWire); err != nil {
+		return &TransportError{Addr: t.Addr(), Route: routeWire, Err: err}
 	}
 	pong, err := t.client.Ping(ctx)
 	if err != nil {

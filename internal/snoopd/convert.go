@@ -1,7 +1,7 @@
 package snoopd
 
 import (
-	"time"
+	"fmt"
 
 	"snoopmva"
 	"snoopmva/internal/wire"
@@ -32,103 +32,55 @@ func workloadFromWire(w wire.WorkloadSpec) WorkloadSpec {
 	case wire.WorkloadStress:
 		return WorkloadSpec{Stress: true}
 	default:
-		f := w.Params
-		return WorkloadSpec{Params: &WorkloadParams{
-			Tau:      f.Tau,
-			PPrivate: f.PPrivate, PSro: f.PSro, PSw: f.PSw,
-			HPrivate: f.HPrivate, HSro: f.HSro, HSw: f.HSw,
-			RPrivate: f.RPrivate, RSw: f.RSw,
-			AmodPrivate: f.AmodPrivate, AmodSw: f.AmodSw,
-			CsupplySro: f.CsupplySro, CsupplySw: f.CsupplySw,
-			WbCsupply: f.WbCsupply,
-			RepP:      f.RepP, RepSw: f.RepSw,
-			FixedParams: f.FixedParams,
-		}}
+		params := WorkloadParams(w.Params)
+		return WorkloadSpec{Params: &params}
 	}
 }
 
-func timingFromWire(has bool, t wire.TimingSpec) *TimingSpec {
+// optional returns &v when has is set, else nil: the JSON form of an
+// absent wire field.
+func optional[T any](has bool, v T) *T {
 	if !has {
 		return nil
 	}
-	return &TimingSpec{
-		TSupply: t.TSupply, TWrite: t.TWrite, TInval: t.TInval,
-		DMem: t.DMem, BlockSize: t.BlockSize, TBlock: t.TBlock,
-	}
+	return &v
 }
 
-func optionsFromWire(has bool, o wire.OptionsSpec) *OptionsSpec {
-	if !has {
-		return nil
+// itemFromFrame decodes a request frame into the one-arm BatchItem it
+// encodes. Any other frame type is an error: the client sent a
+// server-only frame.
+func itemFromFrame(f wire.Frame) (BatchItem, error) {
+	switch f.Type {
+	case wire.TypeSolveReq:
+		m, err := wire.DecodeSolveRequest(f.Payload)
+		return BatchItem{Seq: m.Seq, Solve: &SolveRequest{
+			Protocol:  protocolFromWire(m.Protocol),
+			Workload:  workloadFromWire(m.Workload),
+			N:         m.N,
+			Timing:    optional(m.HasTiming, TimingSpec(m.Timing)),
+			Options:   optional(m.HasOptions, OptionsSpec(m.Options)),
+			TimeoutMS: m.TimeoutMS,
+		}}, err
+	case wire.TypeSolveBestReq:
+		m, err := wire.DecodeSolveBestRequest(f.Payload)
+		return BatchItem{Seq: m.Seq, SolveBest: &SolveBestRequest{
+			Protocol:  protocolFromWire(m.Protocol),
+			Workload:  workloadFromWire(m.Workload),
+			N:         m.N,
+			Budget:    optional(m.HasBudget, BudgetSpec(m.Budget)),
+			TimeoutMS: m.TimeoutMS,
+		}}, err
+	case wire.TypeSweepReq:
+		m, err := wire.DecodeSweepRequest(f.Payload)
+		return BatchItem{Seq: m.Seq, Sweep: &SweepRequest{
+			Protocol:  protocolFromWire(m.Protocol),
+			Workload:  workloadFromWire(m.Workload),
+			Ns:        m.Ns,
+			Parallel:  m.Parallel,
+			TimeoutMS: m.TimeoutMS,
+		}}, err
 	}
-	return &OptionsSpec{
-		Tolerance:            o.Tolerance,
-		MaxIterations:        o.MaxIterations,
-		NoCacheInterference:  o.NoCacheInterference,
-		NoMemoryInterference: o.NoMemoryInterference,
-		NoResidualLife:       o.NoResidualLife,
-		ExponentialBus:       o.ExponentialBus,
-		NoArrivalCorrection:  o.NoArrivalCorrection,
-		SplitTransactionBus:  o.SplitTransactionBus,
-	}
-}
-
-func budgetFromWire(has bool, b wire.BudgetSpec) *BudgetSpec {
-	if !has {
-		return nil
-	}
-	return &BudgetSpec{
-		MaxStates:     b.MaxStates,
-		GTPNTimeoutMS: b.GTPNTimeoutMS,
-		SimCycles:     b.SimCycles,
-		SimTimeoutMS:  b.SimTimeoutMS,
-		Seed:          b.Seed,
-	}
-}
-
-func solveFromWire(m *wire.SolveRequest) *SolveRequest {
-	return &SolveRequest{
-		Protocol:  protocolFromWire(m.Protocol),
-		Workload:  workloadFromWire(m.Workload),
-		N:         m.N,
-		Timing:    timingFromWire(m.HasTiming, m.Timing),
-		Options:   optionsFromWire(m.HasOptions, m.Options),
-		TimeoutMS: m.TimeoutMS,
-	}
-}
-
-func solveBestFromWire(m *wire.SolveBestRequest) *SolveBestRequest {
-	return &SolveBestRequest{
-		Protocol:  protocolFromWire(m.Protocol),
-		Workload:  workloadFromWire(m.Workload),
-		N:         m.N,
-		Budget:    budgetFromWire(m.HasBudget, m.Budget),
-		TimeoutMS: m.TimeoutMS,
-	}
-}
-
-func sweepFromWire(m *wire.SweepRequest) *SweepRequest {
-	return &SweepRequest{
-		Protocol:  protocolFromWire(m.Protocol),
-		Workload:  workloadFromWire(m.Workload),
-		Ns:        m.Ns,
-		Parallel:  m.Parallel,
-		TimeoutMS: m.TimeoutMS,
-	}
-}
-
-func wireResult(r snoopmva.Result) wire.Result {
-	return wire.Result{
-		N:               r.N,
-		Speedup:         r.Speedup,
-		ProcessingPower: r.ProcessingPower,
-		R:               r.R,
-		BusUtilization:  r.BusUtilization,
-		BusWait:         r.BusWait,
-		MemUtilization:  r.MemUtilization,
-		MemWait:         r.MemWait,
-		Iterations:      r.Iterations,
-	}
+	return BatchItem{}, fmt.Errorf("unexpected %v frame", f.Type)
 }
 
 func wireSolveBest(seq uint64, best snoopmva.BestResult) *wire.SolveBestResponse {
@@ -151,42 +103,19 @@ func wireSolveBest(seq uint64, best snoopmva.BestResult) *wire.SolveBestResponse
 
 // WireProtocolSpec returns the wire.ProtocolSpec that resolves back to p.
 func WireProtocolSpec(p snoopmva.Protocol) wire.ProtocolSpec {
-	if name := p.Name(); name != "" {
-		return wire.ProtocolSpec{Name: name}
-	}
-	mods := p.Mods()
-	if mods == nil {
-		mods = []int{}
-	}
-	return wire.ProtocolSpec{Mods: mods}
+	return wire.ProtocolSpec(SpecForProtocol(p))
 }
 
 // WireWorkloadSpec returns the fully spelled-out wire.WorkloadSpec for w.
 func WireWorkloadSpec(w snoopmva.Workload) wire.WorkloadSpec {
-	return wire.WorkloadSpec{Kind: wire.WorkloadParams, Params: wire.WorkloadFields{
-		Tau:      w.Tau,
-		PPrivate: w.PPrivate, PSro: w.PSro, PSw: w.PSw,
-		HPrivate: w.HPrivate, HSro: w.HSro, HSw: w.HSw,
-		RPrivate: w.RPrivate, RSw: w.RSw,
-		AmodPrivate: w.AmodPrivate, AmodSw: w.AmodSw,
-		CsupplySro: w.CsupplySro, CsupplySw: w.CsupplySw,
-		WbCsupply: w.WbCsupply,
-		RepP:      w.RepP, RepSw: w.RepSw,
-		FixedParams: w.FixedParams,
-	}}
+	return wire.WorkloadSpec{Kind: wire.WorkloadParams, Params: wire.WorkloadFields(w)}
 }
 
 // WireBudgetSpec returns the wire budget for b; has is false for the
 // zero budget (travels as absent, like the JSON path's nil).
 func WireBudgetSpec(b snoopmva.Budget) (has bool, spec wire.BudgetSpec) {
-	if b == (snoopmva.Budget{}) {
-		return false, wire.BudgetSpec{}
+	if bs := SpecForBudget(b); bs != nil {
+		return true, wire.BudgetSpec(*bs)
 	}
-	return true, wire.BudgetSpec{
-		MaxStates:     b.MaxStates,
-		GTPNTimeoutMS: int64(b.GTPNTimeout / time.Millisecond),
-		SimCycles:     b.SimCycles,
-		SimTimeoutMS:  int64(b.SimTimeout / time.Millisecond),
-		Seed:          b.Seed,
-	}
+	return false, wire.BudgetSpec{}
 }

@@ -2,7 +2,6 @@ package snoopd
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"snoopmva"
-	"snoopmva/internal/admission"
 )
 
 // maxBodyBytes bounds request bodies; the largest legitimate request (a
@@ -53,6 +51,11 @@ type WorkloadSpec struct {
 }
 
 // WorkloadParams mirrors snoopmva.Workload field-for-field on the wire.
+// This spec type and its siblings below (TimingSpec, OptionsSpec,
+// ResultJSON) share their Go layout with both the root type and the
+// binary protocol's payload struct, so the three convert into each other
+// with plain type conversions — and a field added to one but not the
+// others is a compile error, not a silently dropped value.
 type WorkloadParams struct {
 	Tau         float64 `json:"tau"`
 	PPrivate    float64 `json:"p_private"`
@@ -71,20 +74,6 @@ type WorkloadParams struct {
 	RepP        float64 `json:"rep_p"`
 	RepSw       float64 `json:"rep_sw"`
 	FixedParams bool    `json:"fixed_params,omitempty"`
-}
-
-func (wp WorkloadParams) workload() snoopmva.Workload {
-	return snoopmva.Workload{
-		Tau:      wp.Tau,
-		PPrivate: wp.PPrivate, PSro: wp.PSro, PSw: wp.PSw,
-		HPrivate: wp.HPrivate, HSro: wp.HSro, HSw: wp.HSw,
-		RPrivate: wp.RPrivate, RSw: wp.RSw,
-		AmodPrivate: wp.AmodPrivate, AmodSw: wp.AmodSw,
-		CsupplySro: wp.CsupplySro, CsupplySw: wp.CsupplySw,
-		WbCsupply: wp.WbCsupply,
-		RepP:      wp.RepP, RepSw: wp.RepSw,
-		FixedParams: wp.FixedParams,
-	}
 }
 
 func (ws WorkloadSpec) resolve() (snoopmva.Workload, error) {
@@ -108,7 +97,7 @@ func (ws WorkloadSpec) resolve() (snoopmva.Workload, error) {
 		}
 		return snoopmva.StressWorkload(), nil
 	case ws.Params != nil:
-		return ws.Params.workload(), nil
+		return snoopmva.Workload(*ws.Params), nil
 	default:
 		return snoopmva.Workload{}, fmt.Errorf("workload: specify appendix_a, stress, or params")
 	}
@@ -129,10 +118,7 @@ func (ts *TimingSpec) timing() snoopmva.Timing {
 	if ts == nil {
 		return snoopmva.Timing{}
 	}
-	return snoopmva.Timing{
-		TSupply: ts.TSupply, TWrite: ts.TWrite, TInval: ts.TInval,
-		DMem: ts.DMem, BlockSize: ts.BlockSize, TBlock: ts.TBlock,
-	}
+	return snoopmva.Timing(*ts)
 }
 
 // OptionsSpec mirrors snoopmva.Options; omit for the paper's scheme.
@@ -151,16 +137,7 @@ func (os *OptionsSpec) options() snoopmva.Options {
 	if os == nil {
 		return snoopmva.Options{}
 	}
-	return snoopmva.Options{
-		Tolerance:            os.Tolerance,
-		MaxIterations:        os.MaxIterations,
-		NoCacheInterference:  os.NoCacheInterference,
-		NoMemoryInterference: os.NoMemoryInterference,
-		NoResidualLife:       os.NoResidualLife,
-		ExponentialBus:       os.ExponentialBus,
-		NoArrivalCorrection:  os.NoArrivalCorrection,
-		SplitTransactionBus:  os.SplitTransactionBus,
-	}
+	return snoopmva.Options(*os)
 }
 
 // ResultJSON is the wire form of snoopmva.Result.
@@ -174,20 +151,6 @@ type ResultJSON struct {
 	MemUtilization  float64 `json:"mem_utilization"`
 	MemWait         float64 `json:"mem_wait"`
 	Iterations      int     `json:"iterations"`
-}
-
-func toResultJSON(r snoopmva.Result) ResultJSON {
-	return ResultJSON{
-		N:               r.N,
-		Speedup:         r.Speedup,
-		ProcessingPower: r.ProcessingPower,
-		R:               r.R,
-		BusUtilization:  r.BusUtilization,
-		BusWait:         r.BusWait,
-		MemUtilization:  r.MemUtilization,
-		MemWait:         r.MemWait,
-		Iterations:      r.Iterations,
-	}
 }
 
 // SolveRequest is the body of POST /v1/solve.
@@ -221,9 +184,9 @@ func (bs *BudgetSpec) budget() snoopmva.Budget {
 	}
 	return snoopmva.Budget{
 		MaxStates:   bs.MaxStates,
-		GTPNTimeout: time.Duration(bs.GTPNTimeoutMS) * time.Millisecond,
+		GTPNTimeout: msDuration(bs.GTPNTimeoutMS),
 		SimCycles:   bs.SimCycles,
-		SimTimeout:  time.Duration(bs.SimTimeoutMS) * time.Millisecond,
+		SimTimeout:  msDuration(bs.SimTimeoutMS),
 		Seed:        bs.Seed,
 	}
 }
@@ -301,15 +264,15 @@ type ErrorResponse struct {
 }
 
 // decode reads a strict JSON body into v: unknown fields, trailing
-// garbage and oversized bodies are errors.
+// garbage and oversized bodies are input errors.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("body: %w", err)
+		return invalid("body: %w", err)
 	}
 	if dec.More() {
-		return fmt.Errorf("body: trailing data after JSON value")
+		return invalid("body: trailing data after JSON value")
 	}
 	return nil
 }
@@ -321,82 +284,58 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// badRequest writes a 400 with the given message.
-func badRequest(w http.ResponseWriter, msg string) {
-	writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: msg, Code: "invalid_input"})
+// writeError answers with err's status and ErrorResponse. An admission
+// shed (429, 503 while draining) also carries a Retry-After header in
+// whole seconds (rounded up, per RFC 9110) beside the precise
+// retry_after_ms in the body.
+func writeError(w http.ResponseWriter, err error) {
+	status, code, after := classify(err)
+	if isShed(status) {
+		secs := int64((after + time.Second - 1) / time.Second)
+		if secs < 1 {
+			secs = 1
+		}
+		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	}
+	writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code, RetryAfterMS: after.Milliseconds()})
 }
 
-// writeSolveError maps a solver (or validation) failure onto the HTTP
-// status taxonomy via the shared solveErrorCode mapping.
-func writeSolveError(w http.ResponseWriter, err error) {
-	status, code := solveErrorCode(err)
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
-}
-
-// shedStatus maps an admission refusal onto the shared status/code
-// taxonomy; the HTTP shed writer and the wire listener's Backpressure
-// frames both go through it.
-func shedStatus(se *admission.ShedError) (status int, code string) {
-	status, code = http.StatusTooManyRequests, "overloaded"
-	switch se.Reason {
-	case admission.ReasonDraining:
-		status, code = http.StatusServiceUnavailable, "draining"
-	case admission.ReasonRateLimit:
-		code = "rate_limited"
+// handleItem serves one single-request endpoint: the body decodes into a
+// one-arm BatchItem, the pipeline runs it (admitted() has already gated
+// the request), and the outcome is written in the endpoint's response
+// shape.
+func (s *Server) handleItem(kind requestKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var it BatchItem
+		var body any
+		switch kind {
+		case kindSolve:
+			it.Solve = new(SolveRequest)
+			body = it.Solve
+		case kindSolveBest:
+			it.SolveBest = new(SolveBestRequest)
+			body = it.SolveBest
+		default:
+			it.Sweep = new(SweepRequest)
+			body = it.Sweep
+		}
+		if err := decode(r, body); err != nil {
+			writeError(w, err)
+			return
+		}
+		s.run(r.Context(), "", false, []BatchItem{it}, func(_ *BatchItem, oc outcome) {
+			switch {
+			case oc.err != nil:
+				writeError(w, oc.err)
+			case kind == kindSolve:
+				writeJSON(w, http.StatusOK, SolveResponse{Result: ResultJSON(oc.res)})
+			case kind == kindSolveBest:
+				writeJSON(w, http.StatusOK, toSolveBestResponse(oc.best))
+			default:
+				writeJSON(w, http.StatusOK, SweepResponse{Results: toResultsJSON(oc.sweep)})
+			}
+		})
 	}
-	return status, code
-}
-
-// writeShed maps an admission refusal onto the wire: 429 Too Many
-// Requests (503 while draining) with a Retry-After header in whole
-// seconds (rounded up, per RFC 9110) plus the precise retry_after_ms in
-// the body. Shed responses are written before the body is read, so a
-// storm of oversized requests costs the server nothing but headers.
-func writeShed(w http.ResponseWriter, err error) {
-	var se *admission.ShedError
-	if !errors.As(err, &se) {
-		writeSolveError(w, err)
-		return
-	}
-	status, code := shedStatus(se)
-	secs := int64((se.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSON(w, status, ErrorResponse{
-		Error:        err.Error(),
-		Code:         code,
-		RetryAfterMS: se.RetryAfter.Milliseconds(),
-	})
-}
-
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req SolveRequest
-	if err := decode(r, &req); err != nil {
-		badRequest(w, err.Error())
-		return
-	}
-	res, err := s.solveCore(r.Context(), &req)
-	if err != nil {
-		writeSolveError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, SolveResponse{Result: toResultJSON(res)})
-}
-
-func (s *Server) handleSolveBest(w http.ResponseWriter, r *http.Request) {
-	var req SolveBestRequest
-	if err := decode(r, &req); err != nil {
-		badRequest(w, err.Error())
-		return
-	}
-	best, err := s.solveBestCore(r.Context(), &req)
-	if err != nil {
-		writeSolveError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, toSolveBestResponse(best))
 }
 
 // toSolveBestResponse projects a BestResult onto the wire.
@@ -433,17 +372,8 @@ func SpecForProtocol(p snoopmva.Protocol) ProtocolSpec {
 
 // SpecForWorkload returns the fully spelled-out WorkloadSpec for w.
 func SpecForWorkload(w snoopmva.Workload) WorkloadSpec {
-	return WorkloadSpec{Params: &WorkloadParams{
-		Tau:      w.Tau,
-		PPrivate: w.PPrivate, PSro: w.PSro, PSw: w.PSw,
-		HPrivate: w.HPrivate, HSro: w.HSro, HSw: w.HSw,
-		RPrivate: w.RPrivate, RSw: w.RSw,
-		AmodPrivate: w.AmodPrivate, AmodSw: w.AmodSw,
-		CsupplySro: w.CsupplySro, CsupplySw: w.CsupplySw,
-		WbCsupply: w.WbCsupply,
-		RepP:      w.RepP, RepSw: w.RepSw,
-		FixedParams: w.FixedParams,
-	}}
+	params := WorkloadParams(w)
+	return WorkloadSpec{Params: &params}
 }
 
 // SpecForBudget returns the BudgetSpec for b (nil for the zero budget).
@@ -460,28 +390,19 @@ func SpecForBudget(b snoopmva.Budget) *BudgetSpec {
 	}
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decode(r, &req); err != nil {
-		badRequest(w, err.Error())
-		return
-	}
-	results, err := s.sweepCore(r.Context(), &req)
-	if err != nil {
-		writeSolveError(w, err)
-		return
-	}
+// toResultsJSON projects results onto the wire, in order.
+func toResultsJSON(results []snoopmva.Result) []ResultJSON {
 	out := make([]ResultJSON, len(results))
 	for i, res := range results {
-		out[i] = toResultJSON(res)
+		out[i] = ResultJSON(res)
 	}
-	writeJSON(w, http.StatusOK, SweepResponse{Results: out})
+	return out
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	var req CompareRequest
 	if err := decode(r, &req); err != nil {
-		badRequest(w, err.Error())
+		writeError(w, err)
 		return
 	}
 	var ps []snoopmva.Protocol
@@ -492,7 +413,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		for i, spec := range req.Protocols {
 			p, err := spec.resolve()
 			if err != nil {
-				badRequest(w, fmt.Sprintf("protocols[%d]: %v", i, err))
+				writeError(w, invalid("protocols[%d]: %v", i, err))
 				return
 			}
 			ps[i] = p
@@ -500,23 +421,23 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	wl, err := req.Workload.resolve()
 	if err != nil {
-		badRequest(w, err.Error())
+		writeError(w, &inputError{err: err})
 		return
 	}
-	ctx, cancel, err := s.coreContext(r.Context(), req.TimeoutMS)
-	if err != nil {
-		badRequest(w, err.Error())
+	if req.TimeoutMS < 0 {
+		writeError(w, errTimeoutNegative(req.TimeoutMS))
 		return
 	}
+	ctx, cancel := withTimeout(r.Context(), s.timeout(req.TimeoutMS))
 	defer cancel()
 	results, err := snoopmva.Compare(ctx, s.solver, ps, wl, req.N)
 	if err != nil {
-		writeSolveError(w, err)
+		writeError(w, err)
 		return
 	}
 	out := make([]CompareEntry, len(results))
 	for i, res := range results {
-		out[i] = CompareEntry{Protocol: ps[i].String(), Result: toResultJSON(res)}
+		out[i] = CompareEntry{Protocol: ps[i].String(), Result: ResultJSON(res)}
 	}
 	writeJSON(w, http.StatusOK, CompareResponse{Results: out})
 }

@@ -97,9 +97,9 @@ func New(cfg Config) *Server {
 		cfg.Cache.RegisterMetrics(reg, "snoopd")
 	}
 
-	s.route("POST /v1/solve", s.admitted(kindSolve, s.handleSolve))
-	s.route("POST /v1/solvebest", s.admitted(kindSolveBest, s.handleSolveBest))
-	s.route("POST /v1/sweep", s.admitted(kindSweep, s.handleSweep))
+	s.route("POST /v1/solve", s.admitted(kindSolve, s.handleItem(kindSolve)))
+	s.route("POST /v1/solvebest", s.admitted(kindSolveBest, s.handleItem(kindSolveBest)))
+	s.route("POST /v1/sweep", s.admitted(kindSweep, s.handleItem(kindSweep)))
 	s.route("POST /v1/compare", s.admitted(kindCompare, s.handleCompare))
 	// Batch admits per point inside the handler, not per request.
 	s.route("POST /v1/batch", s.handleBatch)
@@ -196,8 +196,10 @@ var admitTargetScale = [...]time.Duration{
 
 // admitted wraps a /v1 handler with the admission gate: shed requests
 // are answered immediately with 429/503 + Retry-After and never reach
-// the handler; admitted ones release their slot (with the observed
-// service latency) when the handler returns.
+// the handler — the shed is written before the body is read, so a storm
+// of oversized requests costs the server nothing but headers; admitted
+// ones release their slot (with the observed service latency) when the
+// handler returns.
 func (s *Server) admitted(kind requestKind, h http.HandlerFunc) http.HandlerFunc {
 	if s.adm == nil {
 		return h
@@ -205,7 +207,7 @@ func (s *Server) admitted(kind requestKind, h http.HandlerFunc) http.HandlerFunc
 	target := admitTargetScale[kind] * s.adm.Target()
 	return func(w http.ResponseWriter, r *http.Request) {
 		if err := s.adm.Admit(r.Context(), r.Header.Get(ClientIDHeader), admissionDeadline(r)); err != nil {
-			writeShed(w, err)
+			writeError(w, err)
 			return
 		}
 		start := time.Now()
@@ -221,7 +223,7 @@ func (s *Server) admitted(kind requestKind, h http.HandlerFunc) http.HandlerFunc
 func admissionDeadline(r *http.Request) time.Time {
 	if v := r.Header.Get(DeadlineHeader); v != "" {
 		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
-			return time.Now().Add(time.Duration(ms) * time.Millisecond)
+			return time.Now().Add(msDuration(ms))
 		}
 	}
 	if dl, ok := r.Context().Deadline(); ok {

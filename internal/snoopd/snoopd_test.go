@@ -223,9 +223,9 @@ func TestSweepWarmUncachedColdCached(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, n := range ns {
-			want := toResultJSON(warm[i])
+			want := ResultJSON(warm[i])
 			if c.cfg.Cache != nil {
-				want = toResultJSON(cold[i])
+				want = ResultJSON(cold[i])
 			}
 			if resp.Results[i] != want {
 				t.Errorf("%s N=%d: got %+v, want %+v", c.name, n, resp.Results[i], want)

@@ -154,83 +154,123 @@ func equivalenceCases(t *testing.T) []eqCase {
 	}
 }
 
-// TestWireJSONEquivalenceResults drives every request shape through the
-// JSON endpoints and the binary listener of the same (uncached) Server
-// and requires bitwise-identical results — floats compared by their
-// IEEE-754 bits, not tolerance. This is the conformance proof that the
-// binary protocol is an encoding of the same service, not a sibling
-// implementation.
-func TestWireJSONEquivalenceResults(t *testing.T) {
-	s := newTestServer(t, Config{})
-	c := wireClient(t, startWire(t, s))
-	ctx := context.Background()
+// equivalenceConfig is one server configuration the equivalence suite
+// runs under. cfg builds a fresh Config per server, so no admission
+// state is shared between servers.
+type equivalenceConfig struct {
+	name string
+	cfg  func(t *testing.T) Config
+}
 
-	compareResult := func(t *testing.T, j ResultJSON, w wire.Result) {
-		t.Helper()
-		if j.N != w.N || j.Iterations != w.Iterations ||
-			!f64eq(j.Speedup, w.Speedup) || !f64eq(j.ProcessingPower, w.ProcessingPower) ||
-			!f64eq(j.R, w.R) || !f64eq(j.BusUtilization, w.BusUtilization) ||
-			!f64eq(j.BusWait, w.BusWait) || !f64eq(j.MemUtilization, w.MemUtilization) ||
-			!f64eq(j.MemWait, w.MemWait) {
-			t.Fatalf("results diverge across transports:\n json %+v\n wire %+v", j, w)
-		}
+// equivalenceConfigs covers the three shapes the wire listener serves
+// differently: uncached with no admission (the inline batching read
+// loop), cached, and behind a generous admission controller (every frame
+// a pooled job gated by admitPoint). The controller never sheds, so
+// results and errors must match the JSON surface exactly.
+func equivalenceConfigs() []equivalenceConfig {
+	return []equivalenceConfig{
+		{"plain", func(*testing.T) Config { return Config{} }},
+		{"cached", func(*testing.T) Config { return Config{Cache: snoopmva.NewCachedSolver(64)} }},
+		{"admission", func(t *testing.T) Config {
+			return Config{Admission: newAdmission(t, admission.Config{MaxInflight: 64, Target: time.Minute})}
+		}},
 	}
+}
 
+// TestWireJSONEquivalenceResults drives every request shape through the
+// JSON endpoints and the binary listener of the same Server, under each
+// of equivalenceConfigs, and requires bitwise-identical results — floats
+// compared by their IEEE-754 bits, not tolerance. This is the
+// conformance proof that the binary protocol is an encoding of the same
+// service, not a sibling implementation.
+func TestWireJSONEquivalenceResults(t *testing.T) {
+	type served struct {
+		name string
+		s    *Server
+		c    *wire.Client
+	}
+	var servers []served
+	for _, ec := range equivalenceConfigs() {
+		s := newTestServer(t, ec.cfg(t))
+		servers = append(servers, served{ec.name, s, wireClient(t, startWire(t, s))})
+	}
 	for _, tc := range equivalenceCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := post(t, s, tc.path, tc.json)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("json status %d: %s", rec.Code, rec.Body.String())
-			}
-			switch req := tc.wire.(type) {
-			case *wire.SolveRequest:
-				var jr SolveResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
-					t.Fatal(err)
-				}
-				wr, err := c.Solve(ctx, req)
-				if err != nil {
-					t.Fatalf("wire solve: %v", err)
-				}
-				compareResult(t, jr.Result, wr.Result)
-			case *wire.SolveBestRequest:
-				var jr SolveBestResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
-					t.Fatal(err)
-				}
-				wr, err := c.SolveBest(ctx, req)
-				if err != nil {
-					t.Fatalf("wire solvebest: %v", err)
-				}
-				if jr.Method != wr.Method || jr.Degraded != wr.Degraded ||
-					jr.FallbackReason != wr.FallbackReason || jr.N != wr.N ||
-					!f64eq(jr.Speedup, wr.Speedup) || !f64eq(jr.R, wr.R) ||
-					!f64eq(jr.BusUtilization, wr.BusUtilization) {
-					t.Fatalf("solvebest diverges:\n json %+v\n wire %+v", jr, wr)
-				}
-			case *wire.SweepRequest:
-				var jr SweepResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
-					t.Fatal(err)
-				}
-				wr, err := c.Sweep(ctx, req)
-				if err != nil {
-					t.Fatalf("wire sweep: %v", err)
-				}
-				if len(jr.Results) != len(wr.Results) {
-					t.Fatalf("sweep lengths diverge: %d vs %d", len(jr.Results), len(wr.Results))
-				}
-				for i := range jr.Results {
-					compareResult(t, jr.Results[i], wr.Results[i])
-				}
+			for _, sv := range servers {
+				t.Run(sv.name, func(t *testing.T) { checkEquivalentResult(t, sv.s, sv.c, tc) })
 			}
 		})
 	}
 }
 
+// compareResult requires a JSON and a wire result to be bitwise equal.
+func compareResult(t *testing.T, j ResultJSON, w wire.Result) {
+	t.Helper()
+	if j.N != w.N || j.Iterations != w.Iterations ||
+		!f64eq(j.Speedup, w.Speedup) || !f64eq(j.ProcessingPower, w.ProcessingPower) ||
+		!f64eq(j.R, w.R) || !f64eq(j.BusUtilization, w.BusUtilization) ||
+		!f64eq(j.BusWait, w.BusWait) || !f64eq(j.MemUtilization, w.MemUtilization) ||
+		!f64eq(j.MemWait, w.MemWait) {
+		t.Fatalf("results diverge across transports:\n json %+v\n wire %+v", j, w)
+	}
+}
+
+// checkEquivalentResult runs tc on s's JSON surface and through c, and
+// compares the two answers bitwise.
+func checkEquivalentResult(t *testing.T, s *Server, c *wire.Client, tc eqCase) {
+	ctx := context.Background()
+	rec := post(t, s, tc.path, tc.json)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("json status %d: %s", rec.Code, rec.Body.String())
+	}
+	switch req := tc.wire.(type) {
+	case *wire.SolveRequest:
+		var jr SolveResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
+			t.Fatal(err)
+		}
+		wr, err := c.Solve(ctx, req)
+		if err != nil {
+			t.Fatalf("wire solve: %v", err)
+		}
+		compareResult(t, jr.Result, wr.Result)
+	case *wire.SolveBestRequest:
+		var jr SolveBestResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
+			t.Fatal(err)
+		}
+		wr, err := c.SolveBest(ctx, req)
+		if err != nil {
+			t.Fatalf("wire solvebest: %v", err)
+		}
+		if jr.Method != wr.Method || jr.Degraded != wr.Degraded ||
+			jr.FallbackReason != wr.FallbackReason || jr.N != wr.N ||
+			!f64eq(jr.Speedup, wr.Speedup) || !f64eq(jr.R, wr.R) ||
+			!f64eq(jr.BusUtilization, wr.BusUtilization) {
+			t.Fatalf("solvebest diverges:\n json %+v\n wire %+v", jr, wr)
+		}
+	case *wire.SweepRequest:
+		var jr SweepResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
+			t.Fatal(err)
+		}
+		wr, err := c.Sweep(ctx, req)
+		if err != nil {
+			t.Fatalf("wire sweep: %v", err)
+		}
+		if len(jr.Results) != len(wr.Results) {
+			t.Fatalf("sweep lengths diverge: %d vs %d", len(jr.Results), len(wr.Results))
+		}
+		for i := range jr.Results {
+			compareResult(t, jr.Results[i], wr.Results[i])
+		}
+	}
+}
+
 // TestWireJSONEquivalenceErrors drives failing requests through both
-// transports: the error code AND the message text must be identical —
-// the two surfaces share one taxonomy, not two parallel ones.
+// transports, under each of equivalenceConfigs: the error code AND the
+// message text must be identical — the two surfaces share one taxonomy,
+// not two parallel ones.
 func TestWireJSONEquivalenceErrors(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -320,32 +360,36 @@ func TestWireJSONEquivalenceErrors(t *testing.T) {
 				restore := faultinject.Activate(tc.hooks)
 				defer restore()
 			}
-			s := newTestServer(t, Config{})
-			c := wireClient(t, startWire(t, s))
+			for _, ec := range equivalenceConfigs() {
+				t.Run(ec.name, func(t *testing.T) {
+					s := newTestServer(t, ec.cfg(t))
+					c := wireClient(t, startWire(t, s))
 
-			rec := post(t, s, tc.path, tc.json)
-			if rec.Code != tc.wantStatus {
-				t.Fatalf("json status = %d, want %d: %s", rec.Code, tc.wantStatus, rec.Body.String())
-			}
-			je := decodeError(t, rec)
-			if je.Code != tc.wantCode {
-				t.Fatalf("json code = %q, want %q", je.Code, tc.wantCode)
-			}
+					rec := post(t, s, tc.path, tc.json)
+					if rec.Code != tc.wantStatus {
+						t.Fatalf("json status = %d, want %d: %s", rec.Code, tc.wantStatus, rec.Body.String())
+					}
+					je := decodeError(t, rec)
+					if je.Code != tc.wantCode {
+						t.Fatalf("json code = %q, want %q", je.Code, tc.wantCode)
+					}
 
-			var werr error
-			switch req := tc.wire.(type) {
-			case *wire.SolveRequest:
-				_, werr = c.Solve(context.Background(), req)
-			case *wire.SweepRequest:
-				_, werr = c.Sweep(context.Background(), req)
-			}
-			re, ok := werr.(*wire.RequestError)
-			if !ok {
-				t.Fatalf("wire err = %v (%T), want *wire.RequestError", werr, werr)
-			}
-			if re.Code != je.Code || re.Msg != je.Error {
-				t.Fatalf("taxonomy diverges across transports:\n json %q / %q\n wire %q / %q",
-					je.Code, je.Error, re.Code, re.Msg)
+					var werr error
+					switch req := tc.wire.(type) {
+					case *wire.SolveRequest:
+						_, werr = c.Solve(context.Background(), req)
+					case *wire.SweepRequest:
+						_, werr = c.Sweep(context.Background(), req)
+					}
+					re, ok := werr.(*wire.RequestError)
+					if !ok {
+						t.Fatalf("wire err = %v (%T), want *wire.RequestError", werr, werr)
+					}
+					if re.Code != je.Code || re.Msg != je.Error {
+						t.Fatalf("taxonomy diverges across transports:\n json %q / %q\n wire %q / %q",
+							je.Code, je.Error, re.Code, re.Msg)
+					}
+				})
 			}
 		})
 	}
@@ -602,7 +646,7 @@ func TestWireMetrics(t *testing.T) {
 
 // TestWireSolveBatchMatchesSingles drives a pipelined SolveBatch through
 // the server's greedy drain (no admission, so the inline path batches
-// buffered frames through solveManyCore) and checks every point against
+// buffered frames through one runSolves group) and checks every point against
 // an individually-submitted solve: bitwise-identical results, per-point
 // errors with the shared taxonomy, neighbors undisturbed.
 func TestWireSolveBatchMatchesSingles(t *testing.T) {
@@ -656,4 +700,73 @@ func TestWireSolveBatchMatchesSingles(t *testing.T) {
 			t.Fatalf("point %d: batch %+v != single %+v", i, g, w)
 		}
 	}
+}
+
+// TestWireJSONMillisecondOverflow pins the saturating millisecond
+// conversion: a timeout_ms or budget field too large to express in
+// nanoseconds must mean "very long", never wrap negative. With a 5-minute
+// MaxTimeout the sweep's deadline is capped at 5 minutes (not expired at
+// once), and the GTPN stage budget is effectively unbounded (not a
+// "negative GTPNTimeout" 400) — on both transports.
+func TestWireJSONMillisecondOverflow(t *testing.T) {
+	const huge = 9223372036855 // ms; × 1e6 exceeds math.MaxInt64 ns
+	s := newTestServer(t, Config{MaxTimeout: 5 * time.Minute})
+	c := wireClient(t, startWire(t, s))
+	ctx := context.Background()
+
+	t.Run("sweep timeout_ms", func(t *testing.T) {
+		rec := post(t, s, "/v1/sweep", `{"protocol": {"name": "Illinois"}, "workload": {"appendix_a": 5},
+			"ns": [1, 2, 4, 8, 16, 32, 64], "timeout_ms": 9223372036855}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("json status %d: %s", rec.Code, rec.Body.String())
+		}
+		var jr SweepResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
+			t.Fatal(err)
+		}
+		wr, err := c.Sweep(ctx, &wire.SweepRequest{
+			Protocol:  wire.ProtocolSpec{Name: "Illinois"},
+			Workload:  wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
+			Ns:        []int{1, 2, 4, 8, 16, 32, 64},
+			TimeoutMS: huge,
+		})
+		if err != nil {
+			t.Fatalf("wire sweep: %v", err)
+		}
+		if len(jr.Results) != 7 || len(wr.Results) != 7 {
+			t.Fatalf("result counts: json %d, wire %d, want 7", len(jr.Results), len(wr.Results))
+		}
+		for i := range jr.Results {
+			compareResult(t, jr.Results[i], wr.Results[i])
+		}
+	})
+
+	t.Run("solvebest gtpn_timeout_ms", func(t *testing.T) {
+		rec := post(t, s, "/v1/solvebest", `{"protocol": {"name": "Illinois"}, "workload": {"appendix_a": 5},
+			"n": 2, "budget": {"gtpn_timeout_ms": 9223372036855, "sim_cycles": -1}}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("json status %d: %s", rec.Code, rec.Body.String())
+		}
+		var jr SolveBestResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
+			t.Fatal(err)
+		}
+		wr, err := c.SolveBest(ctx, &wire.SolveBestRequest{
+			Protocol:  wire.ProtocolSpec{Name: "Illinois"},
+			Workload:  wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
+			N:         2,
+			HasBudget: true,
+			Budget:    wire.BudgetSpec{GTPNTimeoutMS: huge, SimCycles: -1},
+		})
+		if err != nil {
+			t.Fatalf("wire solvebest: %v", err)
+		}
+		if jr.Method != string(snoopmva.MethodGTPN) || jr.Degraded {
+			t.Fatalf("json solvebest = %+v, want an undegraded gtpn answer", jr)
+		}
+		if jr.Method != wr.Method || jr.Degraded != wr.Degraded || !f64eq(jr.Speedup, wr.Speedup) ||
+			!f64eq(jr.R, wr.R) || !f64eq(jr.BusUtilization, wr.BusUtilization) {
+			t.Fatalf("solvebest diverges:\n json %+v\n wire %+v", jr, wr)
+		}
+	})
 }

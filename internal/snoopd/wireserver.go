@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"snoopmva/internal/admission"
 	"snoopmva/internal/wire"
 )
 
@@ -33,8 +32,8 @@ const (
 // single idle keepalive client would pin the ctx.Done → return path
 // (and the daemon's SIGTERM shutdown behind it) forever. In-flight
 // solves observe the same ctx and wind down with their connections.
-// Requests run through the same cores, admission gate and solve cache
-// as the HTTP endpoints.
+// Requests run through the same pipeline, admission gate and solve
+// cache as the HTTP endpoints.
 func (s *Server) ServeWire(ctx context.Context, ln net.Listener) error {
 	var mu sync.Mutex
 	conns := make(map[net.Conn]struct{})
@@ -128,10 +127,22 @@ func (wc *wireConn) write(typ wire.FrameType, payload []byte) {
 	wc.mu.Unlock()
 }
 
-// serveWireConn handshakes, then pipelines: request frames fan out to
-// bounded handler goroutines and responses stream back in completion
-// order. Any framing-layer failure — including an undecodable request
-// payload — is connection-fatal, per the wire package's contract.
+// serveWireConn handshakes, then pipelines: each request frame decodes
+// into a BatchItem and runs through the shared pipeline, and responses
+// stream back in completion order. Any framing-layer failure — including
+// an undecodable request payload — is connection-fatal, per the wire
+// package's contract.
+//
+// The read loop makes one selection, on s.adm == nil. With no admission
+// gate there is nothing to queue on, and a plain MVA solve costs
+// microseconds — less than a worker handoff — so solve frames run inline
+// in the read loop: the frame and every solve frame already buffered
+// behind it (a SolveBatch burst typically lands in one read syscall)
+// form one group, solved in one batched call on shared derivation and
+// pooled scratch. Buffered never blocks, so a lone request still answers
+// at once. Everything else — solvebest and sweeps (ms scale and up), and
+// every frame when admission could make a request wait — is its own job
+// on the connection's worker pool, admitted one frame at a time.
 func (s *Server) serveWireConn(ctx context.Context, conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	s.wireConns.Inc()
@@ -145,126 +156,94 @@ func (s *Server) serveWireConn(ctx context.Context, conn net.Conn) {
 		return
 	}
 
-	// Requests fan out to a pool of persistent workers, grown lazily up
-	// to wireMaxInflight: under pipelining a worker is dispatched per
-	// frame without a goroutine spawn per request, and when every worker
-	// is busy the blocking send stops the read loop — TCP flow control
-	// then pushes back to the client, which is the per-connection
+	// Jobs fan out to a pool of persistent workers, grown lazily up to
+	// wireMaxInflight: under pipelining a worker is dispatched per frame
+	// without a goroutine spawn per request, and when every worker is
+	// busy the blocking send stops the read loop — TCP flow control then
+	// pushes back to the client, which is the per-connection
 	// backpressure story.
-	jobs := make(chan wireJob)
+	jobs := make(chan BatchItem)
 	workers := 0
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	defer close(jobs)
-	var scratch []byte // response-payload buffer of the inline fast path
-	var batchReqs []*SolveRequest
-	var batchSeqs []uint64
+	var group []BatchItem
+	var scratch []byte // response-payload buffer of the inline path
+	emit := func(it *BatchItem, oc outcome) { scratch = wc.answer(scratch[:0], it, oc) }
 	for ctx.Err() == nil {
 		f, err := r.Next()
 		if err != nil {
 			return
 		}
-		switch f.Type {
-		case wire.TypePing:
+		if f.Type == wire.TypePing {
 			ping, perr := wire.DecodePing(f.Payload)
 			if perr != nil {
 				return
 			}
 			wc.write(wire.TypePong, wire.AppendPong(nil, &wire.Pong{Seq: ping.Seq, Draining: s.draining.Load()}))
-		case wire.TypeSolveReq, wire.TypeSolveBestReq, wire.TypeSweepReq:
-			if f.Type == wire.TypeSolveReq && s.adm == nil {
-				// Inline fast path: a plain MVA solve is microseconds —
-				// cheaper than the worker handoff it would otherwise pay —
-				// and with no admission gate there is nothing to queue on,
-				// so the read loop answers directly, aliasing the reader's
-				// buffer instead of copying. SolveBest and sweeps (ms
-				// scale and up) still fan out to the pool, as does
-				// everything when admission could make a request wait.
-				m, merr := wire.DecodeSolveRequest(f.Payload)
-				if merr != nil {
-					wc.fail()
+			continue
+		}
+		it, ok := s.decodeItem(wc, f)
+		if !ok {
+			return
+		}
+		if s.adm == nil && f.Type == wire.TypeSolveReq {
+			group = append(group[:0], it)
+			for len(group) < wire.MaxBatchPoints {
+				if t, ok := r.Buffered(); !ok || t != wire.TypeSolveReq {
+					break
+				}
+				bf, berr := r.Next() // complete frame is buffered: cannot block
+				if berr != nil {
 					return
 				}
-				s.wireRequests[f.Type].Inc()
-				batchReqs = append(batchReqs[:0], solveFromWire(&m))
-				batchSeqs = append(batchSeqs[:0], m.Seq)
-				// Greedy drain: pipelined solve frames already sitting in
-				// the reader's buffer (a SolveBatch burst typically lands
-				// in one read syscall) join this one in a single batched
-				// solve, sharing derivation and pooled solver scratch.
-				// Buffered never blocks, so a lone request still answers
-				// immediately.
-				for len(batchReqs) < wire.MaxBatchPoints {
-					t, ok := r.Buffered()
-					if !ok || t != wire.TypeSolveReq {
-						break
-					}
-					bf, berr := r.Next() // complete frame is buffered: cannot block
-					if berr != nil {
-						return
-					}
-					bm, bmerr := wire.DecodeSolveRequest(bf.Payload)
-					if bmerr != nil {
-						wc.fail()
-						return
-					}
-					s.wireRequests[bf.Type].Inc()
-					batchReqs = append(batchReqs, solveFromWire(&bm))
-					batchSeqs = append(batchSeqs, bm.Seq)
+				bit, ok := s.decodeItem(wc, bf)
+				if !ok {
+					return
 				}
-				if len(batchReqs) == 1 {
-					res, serr := s.solveCore(ctx, batchReqs[0])
-					if serr != nil {
-						wc.writeError(batchSeqs[0], serr)
-						continue
-					}
-					scratch = wire.AppendSolveResponse(scratch[:0], &wire.SolveResponse{Seq: batchSeqs[0], Result: wireResult(res)})
-					wc.write(wire.TypeSolveResp, scratch)
-					continue
-				}
-				for i, oc := range s.solveManyCore(ctx, batchReqs) {
-					if oc.err != nil {
-						wc.writeError(batchSeqs[i], oc.err)
-						continue
-					}
-					scratch = wire.AppendSolveResponse(scratch[:0], &wire.SolveResponse{Seq: batchSeqs[i], Result: wireResult(oc.res)})
-					wc.write(wire.TypeSolveResp, scratch)
-				}
-				continue
+				group = append(group, bit)
 			}
-			// The payload aliases the reader's buffer; the handler
-			// goroutine outlives this iteration, so copy.
-			job := wireJob{typ: f.Type, payload: append([]byte(nil), f.Payload...)}
-			select {
-			case jobs <- job: // an idle worker took it
-				continue
-			default:
-			}
-			if workers < wireMaxInflight {
-				workers++
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for job := range jobs {
-						s.wirePoint(ctx, wc, clientID, job.typ, job.payload)
-					}
-				}()
-			}
-			select {
-			case jobs <- job:
-			case <-ctx.Done():
-				return
-			}
+			s.run(ctx, clientID, true, group, emit)
+			continue
+		}
+		select {
+		case jobs <- it: // an idle worker took it
+			continue
 		default:
-			return // client sent a server-only frame type
+		}
+		if workers < wireMaxInflight {
+			workers++
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				one := make([]BatchItem, 1)
+				var buf []byte
+				emit := func(it *BatchItem, oc outcome) { buf = wc.answer(buf[:0], it, oc) }
+				for job := range jobs {
+					one[0] = job
+					s.run(ctx, clientID, true, one, emit)
+				}
+			}()
+		}
+		select {
+		case jobs <- it:
+		case <-ctx.Done():
+			return
 		}
 	}
 }
 
-// wireJob is one request frame handed to a connection's worker pool.
-type wireJob struct {
-	typ     wire.FrameType
-	payload []byte
+// decodeItem decodes a request frame into a BatchItem and counts it. A
+// structurally undecodable payload, or a server-only frame type, fails
+// the connection.
+func (s *Server) decodeItem(wc *wireConn, f wire.Frame) (BatchItem, bool) {
+	it, err := itemFromFrame(f)
+	if err != nil {
+		wc.fail()
+		return it, false
+	}
+	s.wireRequests[f.Type].Inc()
+	return it, true
 }
 
 // wireHandshake performs version negotiation: read the client's Hello,
@@ -301,69 +280,6 @@ func (s *Server) wireHandshake(wc *wireConn, r *wire.Reader) (clientID string, o
 	return hello.ClientName, true
 }
 
-// wirePoint executes one request frame: per-point admission (sheds
-// become Backpressure frames), then the matching core; failures become
-// Error frames carrying the same code taxonomy as the JSON API.
-func (s *Server) wirePoint(ctx context.Context, wc *wireConn, clientID string, typ wire.FrameType, payload []byte) {
-	switch typ {
-	case wire.TypeSolveReq:
-		m, err := wire.DecodeSolveRequest(payload)
-		if err != nil {
-			wc.fail()
-			return
-		}
-		s.wireRequests[typ].Inc()
-		if !s.wireAdmit(ctx, wc, clientID, m.Seq, m.TimeoutMS, kindSolve, func() {
-			res, err := s.solveCore(ctx, solveFromWire(&m))
-			if err != nil {
-				wc.writeError(m.Seq, err)
-				return
-			}
-			wc.write(wire.TypeSolveResp, wire.AppendSolveResponse(nil, &wire.SolveResponse{Seq: m.Seq, Result: wireResult(res)}))
-		}) {
-			return
-		}
-	case wire.TypeSolveBestReq:
-		m, err := wire.DecodeSolveBestRequest(payload)
-		if err != nil {
-			wc.fail()
-			return
-		}
-		s.wireRequests[typ].Inc()
-		if !s.wireAdmit(ctx, wc, clientID, m.Seq, m.TimeoutMS, kindSolveBest, func() {
-			best, err := s.solveBestCore(ctx, solveBestFromWire(&m))
-			if err != nil {
-				wc.writeError(m.Seq, err)
-				return
-			}
-			wc.write(wire.TypeSolveBestResp, wire.AppendSolveBestResponse(nil, wireSolveBest(m.Seq, best)))
-		}) {
-			return
-		}
-	case wire.TypeSweepReq:
-		m, err := wire.DecodeSweepRequest(payload)
-		if err != nil {
-			wc.fail()
-			return
-		}
-		s.wireRequests[typ].Inc()
-		if !s.wireAdmit(ctx, wc, clientID, m.Seq, m.TimeoutMS, kindSweep, func() {
-			results, err := s.sweepCore(ctx, sweepFromWire(&m))
-			if err != nil {
-				wc.writeError(m.Seq, err)
-				return
-			}
-			out := make([]wire.Result, len(results))
-			for i, res := range results {
-				out[i] = wireResult(res)
-			}
-			wc.write(wire.TypeSweepResp, wire.AppendSweepResponse(nil, &wire.SweepResponse{Seq: m.Seq, Results: out}))
-		}) {
-			return
-		}
-	}
-}
-
 // fail marks the connection dead and closes it: the request payload was
 // structurally undecodable, which is framing-level corruption — the
 // stream cannot be trusted past it.
@@ -374,31 +290,36 @@ func (wc *wireConn) fail() {
 	_ = wc.conn.Close()
 }
 
-// writeError answers seq with an Error frame via the shared taxonomy.
-func (wc *wireConn) writeError(seq uint64, err error) {
-	_, code := solveErrorCode(err)
-	wc.write(wire.TypeError, wire.AppendError(nil, &wire.ErrorMsg{Seq: seq, Code: code, Msg: err.Error()}))
-}
-
-// wireAdmit gates one request through the admission controller, running
-// run while holding the slot. A shed answers seq with a Backpressure
-// frame — same code taxonomy and retry_after_ms precision as the HTTP
-// path's 429/503 — and reports false.
-func (s *Server) wireAdmit(ctx context.Context, wc *wireConn, clientID string, seq uint64, timeoutMS int64, kind requestKind, run func()) bool {
-	release, err := s.admitPoint(ctx, clientID, timeoutMS, kind)
-	if err != nil {
-		var se *admission.ShedError
-		if errors.As(err, &se) {
-			_, code := shedStatus(se)
-			wc.write(wire.TypeBackpressure, wire.AppendBackpressure(nil, &wire.BackpressureMsg{
-				Seq: seq, Code: code, RetryAfterMS: se.RetryAfter.Milliseconds(),
-			}))
+// answer encodes one outcome as its response frame into buf and writes
+// it: the result frame of the item's kind, an Error frame, or — for an
+// admission shed — a Backpressure frame with the same code and
+// retry_after_ms as the HTTP 429/503. It returns buf for reuse.
+func (wc *wireConn) answer(buf []byte, it *BatchItem, oc outcome) []byte {
+	var typ wire.FrameType
+	switch {
+	case oc.err != nil:
+		status, code, after := classify(oc.err)
+		if isShed(status) {
+			typ = wire.TypeBackpressure
+			buf = wire.AppendBackpressure(buf, &wire.BackpressureMsg{Seq: it.Seq, Code: code, RetryAfterMS: after.Milliseconds()})
 		} else {
-			wc.writeError(seq, err)
+			typ = wire.TypeError
+			buf = wire.AppendError(buf, &wire.ErrorMsg{Seq: it.Seq, Code: code, Msg: oc.err.Error()})
 		}
-		return false
+	case it.Solve != nil:
+		typ = wire.TypeSolveResp
+		buf = wire.AppendSolveResponse(buf, &wire.SolveResponse{Seq: it.Seq, Result: wire.Result(oc.res)})
+	case it.SolveBest != nil:
+		typ = wire.TypeSolveBestResp
+		buf = wire.AppendSolveBestResponse(buf, wireSolveBest(it.Seq, oc.best))
+	default:
+		results := make([]wire.Result, len(oc.sweep))
+		for i, res := range oc.sweep {
+			results[i] = wire.Result(res)
+		}
+		typ = wire.TypeSweepResp
+		buf = wire.AppendSweepResponse(buf, &wire.SweepResponse{Seq: it.Seq, Results: results})
 	}
-	defer release()
-	run()
-	return true
+	wc.write(typ, buf)
+	return buf
 }
